@@ -49,15 +49,9 @@
 //!   variance; wall-clock throughput is printed for information only.
 //!   `--baseline <path>` overrides the baseline.
 
-use conduit_bench::arrivals::arrival_sweep_report;
-use conduit_bench::faults::fault_sweep_report;
-use conduit_bench::fleet::fleet_sweep_report;
-use conduit_bench::interference::interference_report;
 use conduit_bench::throughput::{
     baseline_instructions_per_sec, baseline_ops_per_instruction, baseline_scale, ThroughputReport,
 };
-use conduit_bench::warm::warm_pool_report;
-use conduit_bench::Harness;
 
 /// Every target the binary accepts, with a one-line description. The
 /// usage line and the unknown-target listing are both generated from this
@@ -236,76 +230,12 @@ fn main() {
         perf_gate(&args, quick);
     }
 
-    if target == "warm-pool" {
-        println!("==================== warm-pool ====================");
-        print!("{}", warm_pool_report(quick));
-        return;
-    }
-    if target == "arrival-sweep" {
-        println!("==================== arrival-sweep ====================");
-        print!("{}", arrival_sweep_report(quick));
-        return;
-    }
-    if target == "fault-sweep" {
-        println!("==================== fault-sweep ====================");
-        print!("{}", fault_sweep_report(quick));
-        return;
-    }
-    if target == "interference" {
-        println!("==================== interference ====================");
-        print!("{}", interference_report(quick));
-        return;
-    }
-    if target == "fleet-sweep" {
-        println!("==================== fleet-sweep ====================");
-        print!("{}", fleet_sweep_report(quick));
-        return;
-    }
-
-    let mut harness = if quick {
-        Harness::quick()
-    } else {
-        Harness::paper()
-    };
-    harness = harness.with_parallel(!serial);
-    if target == "all" {
-        // One parallel sweep fills the cache for every figure below.
-        harness.prefetch_all();
-    }
-
-    let outputs: Vec<(&str, String)> = match target.as_str() {
-        "fig4" => vec![("fig4", harness.fig4())],
-        "fig5" => vec![("fig5", harness.fig5())],
-        "fig7" => vec![("fig7a", harness.fig7a()), ("fig7b", harness.fig7b())],
-        "fig7a" => vec![("fig7a", harness.fig7a())],
-        "fig7b" => vec![("fig7b", harness.fig7b())],
-        "fig8" => vec![("fig8", harness.fig8())],
-        "fig9" => vec![("fig9", harness.fig9())],
-        "fig10" => vec![("fig10", harness.fig10())],
-        "table3" => vec![("table3", harness.table3())],
-        "overheads" => vec![("overheads", harness.overheads())],
-        "headline" => vec![("headline", harness.headline())],
-        "all" => vec![
-            ("table3", harness.table3()),
-            ("fig4", harness.fig4()),
-            ("fig5", harness.fig5()),
-            ("fig7a", harness.fig7a()),
-            ("fig7b", harness.fig7b()),
-            ("fig8", harness.fig8()),
-            ("fig9", harness.fig9()),
-            ("fig10", harness.fig10()),
-            ("overheads", harness.overheads()),
-            ("headline", harness.headline()),
-        ],
-        unknown => {
-            eprintln!("repro: unknown target `{unknown}`");
+    match conduit_bench::render_target(&target, quick, !serial) {
+        Some(output) => print!("{output}"),
+        None => {
+            eprintln!("repro: unknown target `{target}`");
             print_targets();
             std::process::exit(2);
         }
-    };
-
-    for (name, text) in outputs {
-        println!("==================== {name} ====================");
-        println!("{text}");
     }
 }

@@ -617,6 +617,69 @@ impl Harness {
     }
 }
 
+/// What `repro <target>` prints for a figure or report target: the banner
+/// line of every section followed by its text. `quick` selects the reduced
+/// test scale and `parallel` the harness fan-out (the output is identical
+/// either way). Returns `None` for a target that is neither a figure nor a
+/// report (`sim-throughput` and `perf-gate` measure rather than render).
+pub fn render_target(target: &str, quick: bool, parallel: bool) -> Option<String> {
+    let banner = |name: &str| format!("==================== {name} ====================\n");
+    let report = match target {
+        "warm-pool" => Some(warm::warm_pool_report(quick)),
+        "arrival-sweep" => Some(arrivals::arrival_sweep_report(quick)),
+        "fault-sweep" => Some(faults::fault_sweep_report(quick)),
+        "interference" => Some(interference::interference_report(quick)),
+        "fleet-sweep" => Some(fleet::fleet_sweep_report(quick)),
+        _ => None,
+    };
+    if let Some(report) = report {
+        return Some(banner(target) + &report);
+    }
+
+    let mut harness = if quick {
+        Harness::quick()
+    } else {
+        Harness::paper()
+    };
+    harness = harness.with_parallel(parallel);
+    let sections: Vec<(&str, String)> = match target {
+        "fig4" => vec![("fig4", harness.fig4())],
+        "fig5" => vec![("fig5", harness.fig5())],
+        "fig7" => vec![("fig7a", harness.fig7a()), ("fig7b", harness.fig7b())],
+        "fig7a" => vec![("fig7a", harness.fig7a())],
+        "fig7b" => vec![("fig7b", harness.fig7b())],
+        "fig8" => vec![("fig8", harness.fig8())],
+        "fig9" => vec![("fig9", harness.fig9())],
+        "fig10" => vec![("fig10", harness.fig10())],
+        "table3" => vec![("table3", harness.table3())],
+        "overheads" => vec![("overheads", harness.overheads())],
+        "headline" => vec![("headline", harness.headline())],
+        "all" => {
+            // One parallel sweep fills the cache for every figure below.
+            harness.prefetch_all();
+            vec![
+                ("table3", harness.table3()),
+                ("fig4", harness.fig4()),
+                ("fig5", harness.fig5()),
+                ("fig7a", harness.fig7a()),
+                ("fig7b", harness.fig7b()),
+                ("fig8", harness.fig8()),
+                ("fig9", harness.fig9()),
+                ("fig10", harness.fig10()),
+                ("overheads", harness.overheads()),
+                ("headline", harness.headline()),
+            ]
+        }
+        _ => return None,
+    };
+    Some(
+        sections
+            .into_iter()
+            .map(|(name, text)| banner(name) + &text + "\n")
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
