@@ -52,23 +52,6 @@ pub struct ThroughputReport {
     /// simulated-work metric `repro perf-gate` gates on (wall-clock
     /// throughput varies with the CI machine; this does not).
     pub ops_per_instruction: f64,
-    /// Wall-clock seconds of the same timed section re-run with the
-    /// intra-run parallel strip evaluator (a multi-worker session; results
-    /// are bit-identical to the serial section).
-    pub parallel_wall_seconds: f64,
-    /// Instructions per second of the intra-run parallel section.
-    pub parallel_instructions_per_sec: f64,
-    /// `wall_seconds / parallel_wall_seconds`: the intra-run speedup of the
-    /// DAG-scheduled evaluate/commit loop on this machine (≈1 on a single
-    /// hardware thread — the committer then evaluates everything inline).
-    pub intra_run_speedup: f64,
-    /// Strip-plan cache hits across the measurement's sessions.
-    pub plan_cache_hits: u64,
-    /// Strip-plan cache misses (planner runs) across the sessions.
-    pub plan_cache_misses: u64,
-    /// Inline-program runs that bypassed the plan cache (always 0 here —
-    /// the measurement only submits registered programs).
-    pub plan_cache_inline: u64,
     /// Wall-clock seconds of the full figure sweep run serially.
     pub sweep_serial_seconds: f64,
     /// Wall-clock seconds of the same sweep with the parallel harness.
@@ -141,36 +124,6 @@ impl ThroughputReport {
         }
         let wall_seconds = t.elapsed().as_secs_f64();
 
-        // --- the same timed section under the intra-run parallel path -----
-        // A multi-worker session routes each run's strip evaluation through
-        // the DAG-scheduled evaluate/commit loop; outcomes (and the gated
-        // device-op counter) are bit-identical, only wall clock may differ.
-        let mut pooled = Session::builder(cfg.clone()).workers(4).build();
-        let pooled_ids: Vec<_> = Workload::ALL
-            .iter()
-            .map(|w| {
-                pooled
-                    .register(w.program(scale).expect("generators always succeed"))
-                    .expect("generated programs always validate")
-            })
-            .collect();
-        for &id in &pooled_ids {
-            black_box(
-                pooled
-                    .submit(&RunRequest::new(id, Policy::Conduit))
-                    .expect("simulation cannot fail"),
-            );
-        }
-        let t = Instant::now();
-        for &id in &pooled_ids {
-            black_box(
-                pooled
-                    .submit(&RunRequest::new(id, Policy::Conduit).repeat(repeats))
-                    .expect("simulation cannot fail"),
-            );
-        }
-        let parallel_wall_seconds = t.elapsed().as_secs_f64();
-
         // --- per-policy probe timings (jacobi-1d, sampled) ----------------
         // Each policy is timed over several independent submissions so the
         // recorded spread is real; a single-sample row would make the
@@ -223,8 +176,6 @@ impl ThroughputReport {
             (0.0, 0.0)
         };
 
-        let serial_stats = session.plan_cache_stats();
-        let pooled_stats = pooled.plan_cache_stats();
         ThroughputReport {
             quick,
             instructions,
@@ -232,12 +183,6 @@ impl ThroughputReport {
             instructions_per_sec: instructions as f64 / wall_seconds.max(1e-12),
             sim_device_ops,
             ops_per_instruction: sim_device_ops as f64 / (instructions.max(1)) as f64,
-            parallel_wall_seconds,
-            parallel_instructions_per_sec: instructions as f64 / parallel_wall_seconds.max(1e-12),
-            intra_run_speedup: wall_seconds / parallel_wall_seconds.max(1e-12),
-            plan_cache_hits: serial_stats.hits + pooled_stats.hits,
-            plan_cache_misses: serial_stats.misses + pooled_stats.misses,
-            plan_cache_inline: serial_stats.inline + pooled_stats.inline,
             sweep_serial_seconds,
             sweep_parallel_seconds,
             parallel_speedup: if sweeps {
@@ -258,8 +203,6 @@ impl ThroughputReport {
              instructions/sec:       {:.0}\n\
              sim device ops:         {}\n\
              ops/instruction:        {:.4}\n\
-             intra-run parallel:     {:.3} s ({:.0} inst/s, {:.2}x)\n\
-             plan cache:             {} hits / {} misses / {} inline ({:.0}% hit rate)\n\
              sweep serial:           {:.3} s\n\
              sweep parallel:         {:.3} s\n\
              parallel speedup:       {:.2}x\n",
@@ -268,14 +211,6 @@ impl ThroughputReport {
             self.instructions_per_sec,
             self.sim_device_ops,
             self.ops_per_instruction,
-            self.parallel_wall_seconds,
-            self.parallel_instructions_per_sec,
-            self.intra_run_speedup,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.plan_cache_inline,
-            100.0 * self.plan_cache_hits as f64
-                / ((self.plan_cache_hits + self.plan_cache_misses).max(1)) as f64,
             self.sweep_serial_seconds,
             self.sweep_parallel_seconds,
             self.parallel_speedup
@@ -302,20 +237,6 @@ impl ThroughputReport {
                     "ops_per_instruction",
                     format!("{:.6}", self.ops_per_instruction),
                 ),
-                (
-                    "parallel_wall_seconds",
-                    format!("{:.6}", self.parallel_wall_seconds),
-                ),
-                (
-                    "parallel_instructions_per_sec",
-                    format!("{:.1}", self.parallel_instructions_per_sec),
-                ),
-                (
-                    "intra_run_speedup",
-                    format!("{:.3}", self.intra_run_speedup),
-                ),
-                ("plan_cache_hits", self.plan_cache_hits.to_string()),
-                ("plan_cache_misses", self.plan_cache_misses.to_string()),
                 (
                     "sweep_serial_seconds",
                     format!("{:.6}", self.sweep_serial_seconds),
@@ -392,27 +313,12 @@ mod tests {
         }
         assert!(r.sim_device_ops > 0);
         assert!(r.ops_per_instruction > 0.0);
-        assert!(r.parallel_wall_seconds > 0.0);
-        assert!(r.intra_run_speedup > 0.0);
-        // Every (program, policy) key planned once — each session plans all
-        // workloads under Conduit, and the serial session's per-policy
-        // probes add three more policy keys for jacobi-1d. Re-planned never:
-        // the warm-up and timed passes hit the cache.
-        assert_eq!(
-            r.plan_cache_misses,
-            2 * conduit_workloads::Workload::ALL.len() as u64 + 3
-        );
-        assert!(r.plan_cache_hits >= r.plan_cache_misses);
-        assert_eq!(r.plan_cache_inline, 0);
         let json = r.to_json();
         assert!(json.contains("\"instructions_per_sec\""));
         assert!(json.contains("\"parallel_speedup\""));
         assert!(json.contains("\"sim_device_ops\""));
-        assert!(json.contains("\"intra_run_speedup\""));
-        assert!(json.contains("\"plan_cache_hits\""));
         assert!(r.summary().contains("instructions/sec"));
         assert!(r.summary().contains("ops/instruction"));
-        assert!(r.summary().contains("plan cache"));
         // The perf gate can read back what we wrote.
         let parsed = baseline_instructions_per_sec(&json).expect("field is present");
         assert!((parsed - r.instructions_per_sec).abs() <= 0.05 * r.instructions_per_sec + 0.1);
@@ -494,12 +400,6 @@ mod tests {
             instructions_per_sec: 1.0,
             sim_device_ops: 1,
             ops_per_instruction: 1.0,
-            parallel_wall_seconds: 1.0,
-            parallel_instructions_per_sec: 1.0,
-            intra_run_speedup: 1.0,
-            plan_cache_hits: 1,
-            plan_cache_misses: 1,
-            plan_cache_inline: 0,
             sweep_serial_seconds: 1.0,
             sweep_parallel_seconds: 1.0,
             parallel_speedup: 1.0,

@@ -16,8 +16,7 @@
 //! how much each term contributes (DESIGN.md lists these as ablation
 //! candidates).
 
-use conduit_sim::StripEstimates;
-use conduit_types::{DataLocation, Duration, OpType, Resource, VectorInst};
+use conduit_types::{Duration, OpType, Resource, VectorInst};
 
 use crate::policy::PolicyContext;
 
@@ -40,9 +39,6 @@ pub struct CostFeatures {
 }
 
 /// The cost function with its ablation switches.
-///
-/// `Hash` lets (program, policy, cost-function) triples key the session's
-/// strip-plan cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostFunction {
     /// Include the data-movement term (`latency_dm`).
@@ -184,124 +180,6 @@ impl CostFunction {
             })
             // Ties on data movement (e.g. everything already resident in
             // DRAM) are broken by the faster compute latency.
-            .min_by_key(|(_, dm, comp)| (*dm, *comp))
-            .map(|(r, dm, _)| (r, dm))
-    }
-
-    /// [`CostFunction::features_for`] with the per-strip hoisted estimates
-    /// substituted for the device's per-instruction estimate queries. The
-    /// hoisted table answers are bit-identical to the scalar queries (see
-    /// [`StripEstimates`]), so this computes the exact same feature vector.
-    pub fn features_from_strip(
-        &self,
-        resource: Resource,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<CostFeatures> {
-        let est = strip.compute_for(resource)?;
-        let dm_latency: Duration = ctx
-            .operand_locations
-            .iter()
-            .map(|&loc| strip.move_from(resource, loc))
-            .sum();
-        Some(CostFeatures {
-            resource,
-            op,
-            comp_latency: est.latency,
-            dm_latency,
-            dependence_delay: ctx.dependence_delay,
-            queue_delay: ctx.device.queue_delay(resource, ctx.now),
-        })
-    }
-
-    /// [`CostFunction::choose`] evaluated from per-strip hoisted estimates —
-    /// the same candidate set, totals, iteration order, and tie-breaking.
-    pub fn choose_from_strip(
-        &self,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                self.features_from_strip(r, op, strip, ctx)
-                    .map(|f| (r, self.total_latency(&f)))
-            })
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// [`CostFunction::choose_ideal`] from per-strip hoisted estimates.
-    pub fn choose_ideal_from_strip(&self, strip: &StripEstimates) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| strip.compute_for(r).map(|e| (r, e.latency)))
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// The worker-thread **speculation** rule of the parallel strip
-    /// evaluator: the choice [`CostFunction::choose_from_strip`] would make
-    /// in the pure plan-time context — every data operand flash-resident,
-    /// zero dependence delay, zero queue delay. Entirely device-free, so a
-    /// pool worker can run it from the hoisted estimates alone; the commit
-    /// phase always recomputes the real choice against live device state,
-    /// and a divergence is counted as a speculation miss, never a wrong
-    /// result.
-    pub fn speculate_from_strip(
-        &self,
-        strip: &StripEstimates,
-        data_operands: u64,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                let est = strip.compute_for(r)?;
-                let dm = if self.include_data_movement {
-                    strip.move_from(r, DataLocation::Flash) * data_operands
-                } else {
-                    Duration::ZERO
-                };
-                Some((r, est.latency + dm))
-            })
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// The DM-Offloading speculation rule: same pure plan-time context as
-    /// [`CostFunction::speculate_from_strip`], with
-    /// [`CostFunction::choose_min_data_movement_from_strip`]'s selection
-    /// (data movement first, compute latency as the tie-break; the
-    /// data-movement term is never ablated here, matching the real rule).
-    pub fn speculate_min_data_movement_from_strip(
-        &self,
-        strip: &StripEstimates,
-        data_operands: u64,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                let est = strip.compute_for(r)?;
-                let dm = strip.move_from(r, DataLocation::Flash) * data_operands;
-                Some((r, dm, est.latency))
-            })
-            .min_by_key(|(_, dm, comp)| (*dm, *comp))
-            .map(|(r, dm, _)| (r, dm))
-    }
-
-    /// [`CostFunction::choose_min_data_movement`] from per-strip hoisted
-    /// estimates.
-    pub fn choose_min_data_movement_from_strip(
-        &self,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                self.features_from_strip(r, op, strip, ctx)
-                    .map(|f| (r, f.dm_latency, f.comp_latency))
-            })
             .min_by_key(|(_, dm, comp)| (*dm, *comp))
             .map(|(r, dm, _)| (r, dm))
     }

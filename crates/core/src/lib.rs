@@ -62,7 +62,6 @@
 //! # Ok::<(), conduit_types::ConduitError>(())
 //! ```
 
-mod batch;
 mod cost;
 mod engine;
 mod overhead;
@@ -72,15 +71,12 @@ mod report;
 mod session;
 mod transform;
 
-pub use batch::{Strip, StripPlan};
 pub use cost::{CostFeatures, CostFunction};
-pub use engine::{RunOptions, RuntimeEngine};
+pub use engine::{RunOptions, RuntimeEngine, StripPlan};
 pub use overhead::{OverheadModel, StorageOverhead};
 pub use policy::{Policy, PolicyContext};
 pub use pool::{JobClass, ThreadPool};
-pub use report::{
-    gmean, EnergySummary, OffloadMix, OverheadReport, ParallelismStats, RunReport, TimelineEntry,
-};
+pub use report::{gmean, EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 pub use session::{
     DeviceHandle, PlanCacheStats, ProgramId, ProgramRegistry, RunArtifacts, RunOutcome, RunRequest,
     RunSummary, Session, SessionBuilder, DEFAULT_DRR_QUANTUM, DEFAULT_PERCENTILES,

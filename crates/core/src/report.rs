@@ -121,79 +121,6 @@ impl OverheadReport {
     }
 }
 
-/// Diagnostics of the parallel (DAG-scheduled) strip evaluator: how much
-/// of a run's expensive per-strip work landed on pool workers, how often
-/// the program-order committer had to wait for an in-flight worker, and how
-/// the placement speculation fared.
-///
-/// **Equality is intentionally vacuous.** The run's *results* — times,
-/// energy, placements, timelines, device state — are bit-identical across
-/// the scalar, sequential-batched, and parallel paths; these counters
-/// describe *how* the run was computed, and several of them
-/// (`parallel_evals` vs `inline_evals`, `commit_stalls`) depend on
-/// wall-clock thread timing. Deriving `PartialEq` here would make
-/// `RunReport`/`RunSummary` equality — the repo's bit-identity oracle —
-/// fail between modes that produce identical results. `PartialEq` therefore
-/// always returns `true`; tests that care about the counters compare the
-/// fields directly.
-#[derive(Debug, Clone, Copy, Default, Eq)]
-pub struct ParallelismStats {
-    /// Strips whose expensive evaluation (estimate hoisting, overhead
-    /// precomputation, speculative placement) a pool worker finished before
-    /// the committer reached them.
-    pub parallel_evals: u64,
-    /// Strips the program-order committer evaluated itself (no worker had
-    /// claimed them yet — e.g. the pool was busy, or commit outran the
-    /// scan).
-    pub inline_evals: u64,
-    /// Times the committer arrived at a strip a worker was still
-    /// evaluating and had to spin until it finished.
-    pub commit_stalls: u64,
-    /// Speculated placements (DAG-eligible strips) confirmed by the
-    /// program-order commit. Deterministic for a given program ×
-    /// configuration — only *whether* speculation ran varies by mode.
-    pub speculation_hits: u64,
-    /// Speculated placements the commit recomputation overturned (live
-    /// residency or queueing diverged from the pure plan-time context).
-    pub speculation_misses: u64,
-}
-
-impl PartialEq for ParallelismStats {
-    /// Always `true` — see the type-level docs: these are execution
-    /// diagnostics, not results, and must not break the bit-identity
-    /// equality of [`RunReport`] across scalar/sequential/parallel modes.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl ParallelismStats {
-    /// Total strips that went through the two-phase evaluator.
-    pub fn evals(&self) -> u64 {
-        self.parallel_evals + self.inline_evals
-    }
-
-    /// Fraction of strip evaluations that landed on pool workers (0 when
-    /// the run never entered the parallel path).
-    pub fn parallel_fraction(&self) -> f64 {
-        let total = self.evals();
-        if total == 0 {
-            0.0
-        } else {
-            self.parallel_evals as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another run's counters (repeat loops).
-    pub fn accumulate(&mut self, other: &ParallelismStats) {
-        self.parallel_evals += other.parallel_evals;
-        self.inline_evals += other.inline_evals;
-        self.commit_stalls += other.commit_stalls;
-        self.speculation_hits += other.speculation_hits;
-        self.speculation_misses += other.speculation_misses;
-    }
-}
-
 /// The result of executing one workload under one policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -217,9 +144,6 @@ pub struct RunReport {
     pub timeline: Vec<TimelineEntry>,
     /// Offloader overhead statistics.
     pub overhead: OverheadReport,
-    /// Parallel strip-evaluator diagnostics (all-zero for scalar and
-    /// sequential runs; excluded from equality — see [`ParallelismStats`]).
-    pub parallelism: ParallelismStats,
 }
 
 impl RunReport {
@@ -312,7 +236,6 @@ mod tests {
             latency: LatencyStats::new(),
             timeline: Vec::new(),
             overhead: OverheadReport::default(),
-            parallelism: ParallelismStats::default(),
         };
         let slow = RunReport {
             policy: Policy::HostCpu,

@@ -91,7 +91,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -104,14 +103,11 @@ use conduit_types::{
     VectorProgram,
 };
 
-use crate::batch::StripPlan;
 use crate::cost::CostFunction;
 use crate::engine::{RunOptions, RuntimeEngine};
 use crate::policy::Policy;
 use crate::pool::ThreadPool;
-use crate::report::{
-    EnergySummary, OffloadMix, OverheadReport, ParallelismStats, RunReport, TimelineEntry,
-};
+use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 
 /// Magic bytes identifying a serialized [`ProgramRegistry`].
 pub const REGISTRY_MAGIC: [u8; 4] = *b"CPR1";
@@ -411,11 +407,6 @@ pub struct RunRequest {
     /// weight serve in plain arrival/request-order FIFO; mixed weights turn
     /// the lane into a deficit-round-robin scheduler.
     weight: u32,
-    /// Forces the engine's scalar (pre-batching) run loop.
-    force_scalar: bool,
-    /// Forces sequential strip evaluation (disables the parallel two-phase
-    /// run loop).
-    sequential_strips: bool,
 }
 
 impl RunRequest {
@@ -449,30 +440,7 @@ impl RunRequest {
             arrival: SimTime::ZERO,
             flow: 0,
             weight: 1,
-            force_scalar: false,
-            sequential_strips: false,
         }
-    }
-
-    /// Builder-style: forces the engine's scalar (pre-batching) run loop —
-    /// the reference implementation the batched path is differentially
-    /// tested against. Results are bit-identical either way; the knob
-    /// exists for verification and debugging (`CONDUIT_SCALAR=1` is the
-    /// process-wide equivalent).
-    pub fn scalar(mut self) -> Self {
-        self.force_scalar = true;
-        self
-    }
-
-    /// Builder-style: forces sequential strip evaluation — the batched run
-    /// loop without the parallel DAG evaluator, i.e. every strip's
-    /// estimates, overheads and placement are computed inline on the
-    /// committing thread. Results are bit-identical either way; the knob
-    /// exists for verification and performance comparison
-    /// (`CONDUIT_SEQ_STRIPS=1` is the process-wide equivalent).
-    pub fn sequential_strips(mut self) -> Self {
-        self.sequential_strips = true;
-        self
     }
 
     /// Builder-style: replaces the cost function (for ablations).
@@ -628,12 +596,6 @@ impl RunRequest {
         if !self.collect_timeline {
             options = options.without_timeline();
         }
-        if self.force_scalar {
-            options = options.scalar();
-        }
-        if self.sequential_strips {
-            options = options.with_sequential_strips();
-        }
         options
     }
 }
@@ -679,10 +641,6 @@ pub struct RunSummary {
     pub percentiles: Vec<(f64, Duration)>,
     /// Offloader overhead statistics.
     pub overhead: OverheadReport,
-    /// Parallel strip-evaluator diagnostics, accumulated across repeats
-    /// (all-zero for scalar and sequential runs; excluded from equality —
-    /// see [`ParallelismStats`]).
-    pub parallelism: ParallelismStats,
     /// The device-side work this run performed (GC invocations, pages
     /// migrated, coherence syncs, wear spread, …): on a fresh device the
     /// run's absolute footprint, on a warm device the *additional* aging it
@@ -758,7 +716,6 @@ impl RunOutcome {
             latency: self.summary.latency,
             timeline: self.artifacts.map(|a| a.timeline).unwrap_or_default(),
             overhead: self.summary.overhead,
-            parallelism: self.summary.parallelism,
         }
     }
 }
@@ -785,9 +742,6 @@ struct RunPlan {
     /// Weighted-fair flow and weight ([`RunRequest::weighted`]).
     flow: u32,
     weight: u32,
-    /// The cached strip decomposition for registered programs (see
-    /// [`StripPlan`]); inline programs plan on the fly in the engine.
-    strip_plan: Option<Arc<StripPlan>>,
 }
 
 /// Shared state of one in-flight batch, shipped to pool workers.
@@ -861,7 +815,6 @@ fn build_outcome(
         latency: report.latency,
         percentiles,
         overhead: report.overhead,
-        parallelism: report.parallelism,
         device_delta,
     };
     let artifacts = plan.options.record_timeline.then_some(RunArtifacts {
@@ -878,7 +831,6 @@ fn execute_fresh(
     host: &HostConfig,
     faults: FaultConfig,
     plan: &RunPlan,
-    pool: Option<&ThreadPool>,
 ) -> Result<RunOutcome> {
     let engine = RuntimeEngine::with_host(ssd, host);
     let pristine = DeviceSnapshot::default();
@@ -887,26 +839,17 @@ fn execute_fresh(
     let options = plan.options.starting_at(SimTime::ZERO + plan.arrival);
     let mut report: Option<RunReport> = None;
     let mut delta = DeviceDelta::default();
-    let mut parallelism = ParallelismStats::default();
     for _ in 0..plan.repeats {
         // A fresh device per repeat keeps every run independent and the
         // whole batch bit-identical to serial execution. Each repeat's
         // device restarts the session's fault plan from its seed.
         let mut device = SsdDevice::with_faults(ssd, faults)?;
         engine.prepare(&mut device, &plan.program)?;
-        let run = engine.run_pooled(
-            &mut device,
-            &plan.program,
-            &options,
-            plan.strip_plan.as_ref(),
-            pool,
-        )?;
+        let run = engine.run(&mut device, &plan.program, &options)?;
         delta.accumulate(device.snapshot().delta_since(&pristine));
-        parallelism.accumulate(&run.parallelism);
         report = Some(run);
     }
-    let mut report = report.expect("repeats is clamped to at least one");
-    report.parallelism = parallelism;
+    let report = report.expect("repeats is clamped to at least one");
     Ok(build_outcome(report, plan, delta, Duration::ZERO))
 }
 
@@ -928,7 +871,6 @@ fn execute_on_lane(
     slot: &DeviceSlot,
     plan: &RunPlan,
     batch_base: Option<SimTime>,
-    pool: Option<&ThreadPool>,
 ) -> Result<RunOutcome> {
     let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
     let lane = &mut *lane;
@@ -948,7 +890,6 @@ fn execute_on_lane(
     lane.clock = lane.clock.max(arrival);
     let issue = lane.clock;
     let mut report: Result<Option<RunReport>> = Ok(None);
-    let mut parallelism = ParallelismStats::default();
     for _ in 0..plan.repeats {
         let start = lane.clock;
         let options = plan.options.starting_at(start);
@@ -956,21 +897,10 @@ fn execute_on_lane(
         // mapped; only genuinely new pages get placed.
         report = engine
             .prepare(device, &plan.program)
-            .and_then(|()| {
-                engine.run_pooled(
-                    device,
-                    &plan.program,
-                    &options,
-                    plan.strip_plan.as_ref(),
-                    pool,
-                )
-            })
+            .and_then(|()| engine.run(device, &plan.program, &options))
             .map(Some);
         match &report {
-            Ok(Some(run)) => {
-                lane.clock = start + run.total_time;
-                parallelism.accumulate(&run.parallelism);
-            }
+            Ok(Some(run)) => lane.clock = start + run.total_time,
             // The (possibly partially advanced) device stays with the
             // session so the stream can continue or be inspected.
             _ => break,
@@ -980,8 +910,7 @@ fn execute_on_lane(
     // partially advanced, and the idle gap was real either way.
     device.record_lane_request(idle_gap, queueing_time, lane.clock.saturating_since(issue));
     let delta = device.snapshot().delta_since(&before);
-    let mut report = report?.expect("repeats is clamped to at least one");
-    report.parallelism = parallelism;
+    let report = report?.expect("repeats is clamped to at least one");
     Ok(build_outcome(report, plan, delta, queueing_time))
 }
 
@@ -1039,7 +968,6 @@ fn run_lane(
     indices: &[usize],
     base: SimTime,
     quantum: Duration,
-    pool: Option<&ThreadPool>,
     mut deliver: impl FnMut(usize, Result<RunOutcome>) -> bool,
 ) {
     let uniform = indices
@@ -1047,7 +975,7 @@ fn run_lane(
         .all(|w| plans[w[0]].weight == plans[w[1]].weight);
     if uniform {
         for &i in indices {
-            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base), pool);
+            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
             if !deliver(i, outcome) {
                 return;
             }
@@ -1077,7 +1005,7 @@ fn run_lane(
     let clock = || slot.lane.lock().expect("device-lane mutex poisoned").clock;
     let mut serve = |flows: &mut Vec<(u32, LaneFlow)>, fi: usize| -> Option<bool> {
         let i = flows[fi].1.head_index()?;
-        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base), pool);
+        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
         let service = outcome
             .as_ref()
             .map(|o| o.summary.service_time)
@@ -1250,10 +1178,6 @@ impl SessionBuilder {
             pool: OnceLock::new(),
             devices: Vec::new(),
             engine: OnceLock::new(),
-            plan_cache: Mutex::new(HashMap::new()),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_inline: AtomicU64::new(0),
         }
     }
 }
@@ -1308,45 +1232,18 @@ pub struct Session {
     /// The engine is stateless and a pure function of the configs; built
     /// once on first use.
     engine: OnceLock<RuntimeEngine>,
-    /// Strip plans for registered programs, keyed by (program, policy,
-    /// cost-function) so each program is planned once per configuration,
-    /// not once per run. The registry is append-only and content-addressed,
-    /// so cached plans never need invalidation.
-    plan_cache: Mutex<HashMap<(ProgramId, Policy, CostFunction), Arc<StripPlan>>>,
-    /// Plan-cache hit counter (see [`Session::plan_cache_stats`]).
-    plan_cache_hits: AtomicU64,
-    /// Plan-cache miss counter: cold (program, policy, cost-function) keys
-    /// that had to run the strip-mining planner.
-    plan_cache_misses: AtomicU64,
-    /// Inline-program runs that bypass the cache entirely (one-shot
-    /// [`RunRequest::inline`] programs plan on the fly in the engine).
-    plan_cache_inline: AtomicU64,
 }
 
-/// A point-in-time snapshot of a session's strip-plan cache counters
-/// ([`Session::plan_cache_stats`]). `hits + misses` equals the number of
-/// registered-program runs planned so far; `inline` counts one-shot
-/// [`RunRequest::inline`] runs that never touch the cache.
+/// The counters [`Session::plan_cache_stats`] returns, which are always zero
+/// because the engine keeps no plan cache. Kept only because the repository
+/// benchmark still reads them; removed in the next benchmark PR.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups served from the cache.
+    /// Always zero.
     pub hits: u64,
-    /// Lookups that had to run the strip-mining planner.
+    /// Always zero.
     pub misses: u64,
-    /// Runs of unregistered (inline) programs that bypass the cache.
-    pub inline: u64,
-}
-
-impl PlanCacheStats {
-    /// Fraction of cacheable lookups that hit (0 when none happened yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 impl Session {
@@ -1653,43 +1550,15 @@ impl Session {
     // ------------------------------------------------------------------
 
     fn plan(&self, request: &RunRequest) -> Result<RunPlan> {
-        let (program, registered) = match &request.source {
+        let program = match &request.source {
             ProgramSource::Registered(id) => {
-                let program = Arc::clone(self.registry.get(*id).ok_or_else(|| {
+                Arc::clone(self.registry.get(*id).ok_or_else(|| {
                     ConduitError::invalid_program(format!(
                         "program {id} is not registered in this session"
                     ))
-                })?);
-                (program, Some(*id))
+                })?)
             }
-            ProgramSource::Inline(program) => (Arc::clone(program), None),
-        };
-        // Registered programs strip-mine once per (program, policy,
-        // cost-function); inline one-shots plan on the fly in the engine.
-        let strip_plan = match registered {
-            Some(id) => {
-                let key = (id, request.policy, request.cost_function);
-                let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-                let plan = match cache.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                        Arc::clone(entry.get())
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                        Arc::clone(entry.insert(Arc::new(StripPlan::plan(
-                            &program,
-                            request.policy,
-                            request.cost_function,
-                        ))))
-                    }
-                };
-                Some(plan)
-            }
-            None => {
-                self.plan_cache_inline.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            ProgramSource::Inline(program) => Arc::clone(program),
         };
         let mode = match request.device {
             None => PlanMode::Fresh,
@@ -1712,7 +1581,6 @@ impl Session {
             arrival: request.arrival.saturating_since(SimTime::ZERO),
             flow: request.flow,
             weight: request.weight.max(1),
-            strip_plan,
         })
     }
 
@@ -1721,25 +1589,12 @@ impl Session {
             .get_or_init(|| RuntimeEngine::with_host(&self.ssd, &self.host))
     }
 
-    /// A point-in-time snapshot of the strip-plan cache counters: cache
-    /// hits, planner runs (misses), and inline-program runs that bypass the
-    /// cache. Counters only ever grow for the session's lifetime.
+    /// All-zero counters (see [`PlanCacheStats`]). Kept only because the
+    /// repository benchmark still calls it; removed in the next benchmark
+    /// PR.
+    #[doc(hidden)]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            inline: self.plan_cache_inline.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The thread pool used for intra-run parallel strip evaluation on
-    /// calling-thread executions; `None` for serial sessions. Batch fan-out
-    /// closures deliberately run without it: the fan-out itself already
-    /// saturates the pool, so nested scan jobs would only queue behind the
-    /// very work that is waiting for them (the engine's committer evaluates
-    /// inline in that case anyway, with identical results).
-    fn eval_pool(&self) -> Option<&ThreadPool> {
-        (self.workers > 1).then(|| self.pool.get_or_init(|| ThreadPool::new(self.workers)))
+        PlanCacheStats::default()
     }
 
     /// Executes one request on the calling thread (fresh runs on a pristine
@@ -1753,21 +1608,12 @@ impl Session {
     pub fn submit(&self, request: &RunRequest) -> Result<RunOutcome> {
         let plan = self.plan(request)?;
         match plan.mode {
-            PlanMode::Fresh => {
-                execute_fresh(&self.ssd, &self.host, self.faults, &plan, self.eval_pool())
-            }
+            PlanMode::Fresh => execute_fresh(&self.ssd, &self.host, self.faults, &plan),
             PlanMode::Device(slot) => {
                 // A lone submit is a batch of one: the lane window covers
                 // exactly this request.
                 self.reset_lane_window_of(slot);
-                execute_on_lane(
-                    self.engine(),
-                    &self.ssd,
-                    &self.devices[slot],
-                    &plan,
-                    None,
-                    self.eval_pool(),
-                )
+                execute_on_lane(self.engine(), &self.ssd, &self.devices[slot], &plan, None)
             }
         }
     }
@@ -1867,13 +1713,7 @@ impl Session {
             let mut slots: Vec<Option<Result<RunOutcome>>> =
                 (0..plans.len()).map(|_| None).collect();
             for &i in &fresh {
-                slots[i] = Some(execute_fresh(
-                    &self.ssd,
-                    &self.host,
-                    self.faults,
-                    &plans[i],
-                    self.eval_pool(),
-                ));
+                slots[i] = Some(execute_fresh(&self.ssd, &self.host, self.faults, &plans[i]));
             }
             for (slot, indices) in &lanes {
                 run_lane(
@@ -1884,7 +1724,6 @@ impl Session {
                     indices,
                     arrival_of(*slot),
                     self.drr_quantum,
-                    self.eval_pool(),
                     |i, outcome| {
                         slots[i] = Some(outcome);
                         true
@@ -1922,8 +1761,6 @@ impl Session {
             let engine = self.engine().clone();
             let base = arrivals[lane_pos];
             pool.execute_lane(move || {
-                // No eval pool inside batch fan-out: these workers *are* the
-                // pool, and the committer's inline path is bit-identical.
                 run_lane(
                     &engine,
                     &shared.ssd,
@@ -1932,7 +1769,6 @@ impl Session {
                     &indices,
                     base,
                     quantum,
-                    None,
                     |i, outcome| tx.send((i, outcome)).is_ok(),
                 );
             });
@@ -1945,13 +1781,8 @@ impl Session {
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             pool.execute(move || {
-                let outcome = execute_fresh(
-                    &shared.ssd,
-                    &shared.host,
-                    shared.faults,
-                    &shared.plans[i],
-                    None,
-                );
+                let outcome =
+                    execute_fresh(&shared.ssd, &shared.host, shared.faults, &shared.plans[i]);
                 let _ = tx.send((i, outcome));
             });
         }

@@ -32,7 +32,7 @@ use conduit_types::{
 };
 
 use crate::energy::EnergyMeter;
-use crate::estimates::{EstimateTable, StripEstimates};
+use crate::estimates::EstimateTable;
 use crate::state::{DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
 use crate::stats::CostBreakdown;
 
@@ -45,19 +45,6 @@ pub struct OpCompletion {
     pub breakdown: CostBreakdown,
     /// Energy consumed.
     pub energy: Energy,
-}
-
-/// One strip-wide offloader-core reservation (see
-/// [`SsdDevice::offloader_busy_strip`]): the strip's instruction `i`
-/// finishes its exclusive transformation window at `first_ready + step * i`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StripWindow {
-    /// When the strip's first instruction leaves the offloader core.
-    pub first_ready: SimTime,
-    /// Per-instruction exclusive window (the reservation's service time).
-    pub step: Duration,
-    /// Offloader energy charged per instruction.
-    pub energy_each: Energy,
 }
 
 impl OpCompletion {
@@ -99,26 +86,18 @@ impl OpCompletion {
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
-    /// The immutable substrate models, shareable across threads. The
-    /// parallel strip-evaluation path hands a clone of this [`Arc`] to
-    /// worker threads so they can answer pure estimate queries while the
-    /// committing thread holds `&mut SsdDevice`.
+    /// The immutable substrate models, shared by every clone of the device.
     models: Arc<DeviceModels>,
-    #[allow(dead_code)]
-    cores: CoreAllocation,
     /// Everything that mutates as instructions execute.
     state: DeviceState,
 }
 
 /// The immutable half of an [`SsdDevice`]: every timing/energy model plus
 /// the precomputed [`EstimateTable`], all pure functions of the
-/// [`SsdConfig`]. Nothing in here ever mutates after construction, so a
-/// `DeviceModels` is freely shareable (`Send + Sync`) and answers the
-/// state-independent estimate queries the batched engine hoists per strip —
-/// including on worker threads, concurrently with the owning device
-/// executing commits.
+/// [`SsdConfig`]. Nothing in here ever mutates after construction, so
+/// clones of a device share one `DeviceModels`.
 #[derive(Debug)]
-pub struct DeviceModels {
+pub(crate) struct DeviceModels {
     cfg: SsdConfig,
     flash_timing: FlashTiming,
     ifp: IfpModel,
@@ -148,11 +127,6 @@ impl DeviceModels {
             isp,
             estimates,
         }
-    }
-
-    /// The device configuration the models were built from.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
     }
 
     /// Un-contended compute latency of `op` on `resource` (see
@@ -209,31 +183,6 @@ impl DeviceModels {
             ),
         }
     }
-
-    /// Hoists a whole strip's per-resource compute and static-move
-    /// estimates (see [`SsdDevice::estimate_strip`]). Pure, so worker
-    /// threads can evaluate strips concurrently with the committing thread.
-    #[inline]
-    pub fn estimate_strip(
-        &self,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-        vector_bytes: u64,
-    ) -> StripEstimates {
-        self.estimates.estimate_batch(
-            &self.cfg,
-            &self.ifp,
-            &self.pud,
-            &self.isp,
-            &self.flash_timing,
-            &self.dram_timing,
-            op,
-            elem_bits,
-            lanes,
-            vector_bytes,
-        )
-    }
 }
 
 impl SsdDevice {
@@ -268,10 +217,12 @@ impl SsdDevice {
     ///
     /// Returns configuration errors from the core allocation.
     pub fn with_state(cfg: &SsdConfig, state: DeviceState) -> Result<Self> {
-        let cores = CoreAllocation::standard(&cfg.ctrl)?;
+        // Validation only: the controller must have a valid core split. A
+        // checkpoint import builds its device here, so this also checks
+        // imported configurations.
+        CoreAllocation::standard(&cfg.ctrl)?;
         Ok(SsdDevice {
             models: Arc::new(DeviceModels::new(cfg)),
-            cores,
             state,
         })
     }
@@ -279,13 +230,6 @@ impl SsdDevice {
     /// The device configuration.
     pub fn config(&self) -> &SsdConfig {
         &self.models.cfg
-    }
-
-    /// A shareable handle to the immutable substrate models (see
-    /// [`DeviceModels`]). Cloning the [`Arc`] is cheap; worker threads use
-    /// it to answer estimate queries while the owner mutates device state.
-    pub fn models(&self) -> Arc<DeviceModels> {
-        Arc::clone(&self.models)
     }
 
     /// The persistent device state (read-only).
@@ -537,75 +481,6 @@ impl SsdDevice {
         }
     }
 
-    /// Occupies the offloader core for `count` back-to-back exclusive
-    /// windows of `dur` each — a whole strip's transformation overheads in
-    /// one timeline reservation.
-    ///
-    /// Bit-identical to `count` chained [`SsdDevice::offloader_busy`] calls
-    /// where each call's `earliest` is the previous call's `ready` (which is
-    /// exactly how the run loop chains its offload clock): the reservation
-    /// window is `[max(earliest, busy_until), start + dur * count)`, and the
-    /// per-instruction energy is charged `count` times in order so the
-    /// floating-point accumulation in the energy meter is unchanged.
-    pub fn offloader_busy_strip(
-        &mut self,
-        dur: Duration,
-        earliest: SimTime,
-        count: u64,
-    ) -> StripWindow {
-        let probed = self.probe_offloader_strip(dur, earliest, count);
-        let committed = self.commit_offloader_strip(dur, earliest, count);
-        debug_assert_eq!(
-            probed, committed,
-            "an un-interleaved probe must predict its commit exactly"
-        );
-        committed
-    }
-
-    /// Pure half of [`SsdDevice::offloader_busy_strip`]: the
-    /// [`StripWindow`] a strip arriving at `earliest` *would* get, without
-    /// touching the offloader-core timeline or the energy meter. Exact as
-    /// long as no other reservation lands before the matching
-    /// [`SsdDevice::commit_offloader_strip`].
-    pub fn probe_offloader_strip(
-        &self,
-        dur: Duration,
-        earliest: SimTime,
-        count: u64,
-    ) -> StripWindow {
-        let (start, _end) = self.state.offloader_core.probe_batch(earliest, dur, count);
-        StripWindow {
-            first_ready: start + dur,
-            step: dur,
-            energy_each: Energy::from_power(self.models.cfg.ctrl.core_power_w, dur),
-        }
-    }
-
-    /// Commit half of [`SsdDevice::offloader_busy_strip`]: applies the
-    /// strip's offloader-core reservation and charges the per-instruction
-    /// energy `count` times in order (so the floating-point accumulation in
-    /// the energy meter matches `count` chained
-    /// [`SsdDevice::offloader_busy`] calls exactly).
-    pub fn commit_offloader_strip(
-        &mut self,
-        dur: Duration,
-        earliest: SimTime,
-        count: u64,
-    ) -> StripWindow {
-        let (start, _end) = self.state.offloader_core.commit_batch(earliest, dur, count);
-        let energy_each = Energy::from_power(self.models.cfg.ctrl.core_power_w, dur);
-        for _ in 0..count {
-            self.state
-                .energy
-                .charge(EnergySource::Offloader, energy_each);
-        }
-        StripWindow {
-            first_ready: start + dur,
-            step: dur,
-            energy_each,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Compute execution
     // ------------------------------------------------------------------
@@ -769,23 +644,6 @@ impl SsdDevice {
     #[inline]
     pub fn estimate_move(&self, from: DataLocation, to: DataLocation, bytes: u64) -> Duration {
         self.models.estimate_move(from, to, bytes)
-    }
-
-    /// Hoists the per-resource compute and static-move estimates a strip of
-    /// homogeneous instructions shares (see
-    /// [`EstimateTable::estimate_batch`]). Each entry equals the matching
-    /// [`SsdDevice::estimate_compute`] / [`SsdDevice::estimate_move`] answer
-    /// bit-for-bit.
-    #[inline]
-    pub fn estimate_strip(
-        &self,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-        vector_bytes: u64,
-    ) -> StripEstimates {
-        self.models
-            .estimate_strip(op, elem_bits, lanes, vector_bytes)
     }
 
     /// The queueing delay a new operation would currently see on `resource`
@@ -1115,6 +973,18 @@ mod tests {
 
     fn pages(range: std::ops::Range<u64>) -> Vec<LogicalPageId> {
         range.map(LogicalPageId::new).collect()
+    }
+
+    #[test]
+    fn with_state_rejects_an_invalid_core_split() {
+        let cfg = SsdConfig::small_for_tests();
+        let state = DeviceState::new(&cfg).unwrap();
+        let mut two_cores = cfg.clone();
+        two_cores.ctrl.cores = 2;
+        assert!(matches!(
+            SsdDevice::with_state(&two_cores, state),
+            Err(ConduitError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -18,10 +18,7 @@
 //!
 //! Lookups for either shape are O(1) array loads; any other shape falls back
 //! to the exact model evaluation, so results are bit-identical to the
-//! untabled path in all cases. [`EstimateTable::estimate_batch`] hoists the
-//! per-(resource, location) lookups for a whole strip of homogeneous
-//! instructions into one [`StripEstimates`] value so the run loop touches the
-//! tables once per strip instead of once per instruction.
+//! untabled path in all cases.
 
 use conduit_ctrl::IspModel;
 use conduit_dram::{DramTiming, PudModel};
@@ -40,9 +37,6 @@ pub struct CostEstimate {
 
 /// Number of distinct data locations (indexes the move tables).
 pub const LOC_COUNT: usize = DataLocation::ALL.len();
-
-/// Number of candidate SSD compute resources (indexes [`StripEstimates`]).
-pub const RESOURCE_COUNT: usize = Resource::ALL.len();
 
 /// One precomputed shape: per-(resource, op) compute estimates and
 /// per-(location, location) move estimates at a fixed vector shape.
@@ -102,35 +96,6 @@ impl ShapeTable {
             compute,
             moves,
         }
-    }
-}
-
-/// Hoisted per-strip estimates: everything the cost function needs that
-/// depends only on the strip's (op, shape), not on the individual
-/// instruction. Indexed by [`Resource::index`] in [`Resource::ALL`] order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StripEstimates {
-    /// Un-contended compute estimate per candidate resource (`None` = the
-    /// resource does not support the strip's operation).
-    pub compute: [Option<CostEstimate>; RESOURCE_COUNT],
-    /// Static move latency from each [`DataLocation`] (indexed by its
-    /// encoding) to each resource's home location, at the strip's vector
-    /// byte size.
-    pub moves: [[Duration; LOC_COUNT]; RESOURCE_COUNT],
-}
-
-impl StripEstimates {
-    /// The hoisted compute estimate for `resource`.
-    #[inline]
-    pub fn compute_for(&self, resource: Resource) -> Option<CostEstimate> {
-        self.compute[resource.index()]
-    }
-
-    /// The hoisted static move latency from `loc` to `resource`'s home
-    /// location.
-    #[inline]
-    pub fn move_from(&self, resource: Resource, loc: DataLocation) -> Duration {
-        self.moves[resource.index()][loc.encoding() as usize]
     }
 }
 
@@ -299,55 +264,6 @@ impl EstimateTable {
             (self.shapes[1].elem_bits, self.shapes[1].lanes),
         ]
     }
-
-    /// Hoists every per-resource estimate a strip of homogeneous
-    /// instructions can share: the un-contended compute estimate per
-    /// candidate resource and the static move latency from every data
-    /// location to each resource's home location, all at the strip's shape.
-    ///
-    /// Table hits and exact fallbacks are combined per entry exactly as the
-    /// scalar path would ([`Resource::supports`] first, then the tabled or
-    /// exact estimate), so a [`StripEstimates`] answer is bit-identical to
-    /// per-instruction queries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_batch(
-        &self,
-        cfg: &SsdConfig,
-        ifp: &IfpModel,
-        pud: &PudModel,
-        isp: &IspModel,
-        flash_timing: &FlashTiming,
-        dram_timing: &DramTiming,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-        vector_bytes: u64,
-    ) -> StripEstimates {
-        let mut compute = [None; RESOURCE_COUNT];
-        let mut moves = [[Duration::ZERO; LOC_COUNT]; RESOURCE_COUNT];
-        for resource in Resource::ALL {
-            let i = resource.index();
-            compute[i] = if !resource.supports(op) {
-                None
-            } else {
-                match self.compute(resource, op, elem_bits, lanes) {
-                    Some(entry) => entry,
-                    None => Self::evaluate(cfg, ifp, pud, isp, resource, op, elem_bits, lanes),
-                }
-            };
-            let home = resource.home_location();
-            for loc in DataLocation::ALL {
-                moves[i][loc.encoding() as usize] = match self.move_latency(loc, home, vector_bytes)
-                {
-                    Some(d) => d,
-                    None => {
-                        Self::evaluate_move(cfg, flash_timing, dram_timing, loc, home, vector_bytes)
-                    }
-                };
-            }
-        }
-        StripEstimates { compute, moves }
-    }
 }
 
 #[cfg(test)]
@@ -436,40 +352,5 @@ mod tests {
             .move_latency(DataLocation::Flash, DataLocation::Dram, bytes)
             .unwrap();
         assert!(f2d > Duration::ZERO);
-    }
-
-    #[test]
-    fn strip_estimates_match_scalar_queries() {
-        let (table, cfg, ifp, pud, isp) = table_and_models();
-        let ft = FlashTiming::new(&cfg.flash);
-        let dt = DramTiming::new(&cfg.dram);
-        // Tabled FP32 shape, tabled INT8 shape, and a non-tabled odd shape —
-        // the strip answer must match exact evaluation in every case.
-        for (bits, lanes) in [(32u32, 4096u32), (8, 4096), (32, 100)] {
-            let bytes = (lanes as u64) * (bits as u64) / 8;
-            for op in [OpType::Add, OpType::Div, OpType::And, OpType::Scalar] {
-                let strip =
-                    table.estimate_batch(&cfg, &ifp, &pud, &isp, &ft, &dt, op, bits, lanes, bytes);
-                for resource in Resource::ALL {
-                    let expect = if resource.supports(op) {
-                        EstimateTable::evaluate(&cfg, &ifp, &pud, &isp, resource, op, bits, lanes)
-                    } else {
-                        None
-                    };
-                    assert_eq!(strip.compute_for(resource), expect);
-                    for loc in DataLocation::ALL {
-                        let exact = EstimateTable::evaluate_move(
-                            &cfg,
-                            &ft,
-                            &dt,
-                            loc,
-                            resource.home_location(),
-                            bytes,
-                        );
-                        assert_eq!(strip.move_from(resource, loc), exact);
-                    }
-                }
-            }
-        }
     }
 }

@@ -44,10 +44,10 @@ mod resources;
 mod state;
 mod stats;
 
-pub use device::{DeviceModels, OpCompletion, SsdDevice, StripWindow};
+pub use device::{OpCompletion, SsdDevice};
 pub use energy::{EnergyCategory, EnergyMeter};
 pub use engine::EventQueue;
-pub use estimates::{CostEstimate, EstimateTable, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
+pub use estimates::{CostEstimate, EstimateTable, LOC_COUNT};
 pub use host::{HostCpuModel, HostGpuModel};
 pub use resources::{ResourcePool, SharedResource};
 pub use state::{

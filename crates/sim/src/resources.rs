@@ -63,64 +63,6 @@ impl SharedResource {
         (start, end)
     }
 
-    /// Pure form of [`SharedResource::reserve`]: the `(start, end)` interval
-    /// a request arriving at `earliest` *would* get, without mutating the
-    /// timeline. `probe` followed by [`SharedResource::commit`] with the same
-    /// arguments is exactly one `reserve`.
-    pub fn probe(&self, earliest: SimTime, service: Duration) -> (SimTime, SimTime) {
-        let start = earliest.max(self.busy_until);
-        (start, start + service)
-    }
-
-    /// Applies the reservation previewed by [`SharedResource::probe`].
-    /// Returns the same window as the probe as long as no other reservation
-    /// landed in between.
-    pub fn commit(&mut self, earliest: SimTime, service: Duration) -> (SimTime, SimTime) {
-        self.reserve(earliest, service)
-    }
-
-    /// Pure form of [`SharedResource::commit_batch`]: the `(start, end)`
-    /// window a batch of `count` back-to-back slots of `service` each
-    /// *would* occupy, without mutating the timeline. Because the whole
-    /// timeline is a single `busy_until` watermark, the probe is exact: a
-    /// `commit_batch` with the same arguments (and no interleaved
-    /// reservation) lands on exactly this window.
-    pub fn probe_batch(
-        &self,
-        earliest: SimTime,
-        service: Duration,
-        count: u64,
-    ) -> (SimTime, SimTime) {
-        let start = earliest.max(self.busy_until);
-        (start, start + service * count)
-    }
-
-    /// Reserves `count` back-to-back slots of `service` each, the first
-    /// starting no earlier than `earliest`, as **one** timeline update.
-    /// Returns the `(start, end)` of the whole window; slot `i` occupies
-    /// `[start + service·i, start + service·(i+1))`.
-    ///
-    /// Equivalent to `count` chained [`SharedResource::reserve`] calls where
-    /// each call's `earliest` is at or before the previous end (each slot
-    /// then starts exactly at `busy_until`): `busy_until`, `total_busy` and
-    /// `completed` land on the same values because all the arithmetic is
-    /// integer picoseconds. This is the *commit* half of the two-phase
-    /// protocol: the batched engine probes windows speculatively (possibly
-    /// on worker threads) and commits them in program order, so the
-    /// committed timeline is bit-identical to the sequential one.
-    pub fn commit_batch(
-        &mut self,
-        earliest: SimTime,
-        service: Duration,
-        count: u64,
-    ) -> (SimTime, SimTime) {
-        let (start, end) = self.probe_batch(earliest, service, count);
-        self.busy_until = end;
-        self.total_busy += service * count;
-        self.completed += count;
-        (start, end)
-    }
-
     /// How long a request arriving at `at` would wait before the resource is
     /// free (the queueing delay feature of the cost function).
     pub fn queue_delay(&self, at: SimTime) -> Duration {
@@ -265,18 +207,6 @@ impl ResourcePool {
         (start, end, idx)
     }
 
-    /// Pure form of [`ResourcePool::reserve`]: which unit *would* serve a
-    /// request arriving at `earliest` and the `(start, end, unit_index)` it
-    /// would get, without mutating any timeline. Unit selection uses the
-    /// same earliest-available / lowest-index tie-break as `reserve`, so a
-    /// subsequent [`ResourcePool::reserve`] (with no interleaved
-    /// reservation) picks the identical unit and window.
-    pub fn probe(&self, earliest: SimTime, service: Duration) -> (SimTime, SimTime, usize) {
-        let idx = self.earliest_unit(earliest);
-        let (start, end) = self.units[idx].probe(earliest, service);
-        (start, end, idx)
-    }
-
     /// Reserves a *specific* unit (e.g. the die where an operand physically
     /// lives). Returns `(start, end)`.
     pub fn reserve_unit(
@@ -287,17 +217,6 @@ impl ResourcePool {
     ) -> (SimTime, SimTime) {
         let idx = unit % self.units.len();
         self.units[idx].reserve(earliest, service)
-    }
-
-    /// Pure form of [`ResourcePool::reserve_unit`].
-    pub fn probe_unit(
-        &self,
-        unit: usize,
-        earliest: SimTime,
-        service: Duration,
-    ) -> (SimTime, SimTime) {
-        let idx = unit % self.units.len();
-        self.units[idx].probe(earliest, service)
     }
 
     /// Queueing delay a request arriving at `at` would see on the
@@ -455,57 +374,6 @@ mod tests {
         assert_eq!(e2.saturating_since(SimTime::ZERO), us(10.0));
         assert_eq!(r.total_busy(), us(10.0));
         assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
-    fn probe_matches_reserve_and_does_not_mutate() {
-        let mut r = SharedResource::new("ch");
-        r.reserve(SimTime::ZERO, us(5.0));
-        let before = r.clone();
-        let probed = r.probe(SimTime::ZERO + us(1.0), us(3.0));
-        assert_eq!(r, before, "probe must not touch the timeline");
-        let committed = r.commit(SimTime::ZERO + us(1.0), us(3.0));
-        assert_eq!(probed, committed);
-        assert_eq!(probed.0, SimTime::ZERO + us(5.0));
-    }
-
-    #[test]
-    fn probe_batch_then_commit_batch_equals_reserve_batch() {
-        // Two identical resources: one uses the one-shot commit_batch, the
-        // other the two-phase probe + commit. They must agree bit-for-bit.
-        let mut direct = SharedResource::new("ch");
-        let mut phased = SharedResource::new("ch");
-        direct.reserve(SimTime::ZERO, us(2.0));
-        phased.reserve(SimTime::ZERO, us(2.0));
-
-        let want = direct.commit_batch(SimTime::ZERO + us(1.0), us(3.0), 4);
-
-        let before = phased.clone();
-        let probed = phased.probe_batch(SimTime::ZERO + us(1.0), us(3.0), 4);
-        assert_eq!(phased, before, "probe_batch must not touch the timeline");
-        let got = phased.commit_batch(SimTime::ZERO + us(1.0), us(3.0), 4);
-
-        assert_eq!(probed, want, "probe window must predict the commit exactly");
-        assert_eq!(got, want);
-        assert_eq!(direct, phased);
-        assert_eq!(phased.completed(), 5);
-        assert_eq!(phased.total_busy(), us(2.0) + us(12.0));
-    }
-
-    #[test]
-    fn pool_probe_matches_reserve() {
-        let mut p = ResourcePool::new("die", 3);
-        p.reserve_unit(0, SimTime::ZERO, us(10.0));
-        p.reserve_unit(2, SimTime::ZERO, us(6.0));
-        let before = p.clone();
-        let probed = p.probe(SimTime::ZERO, us(1.0));
-        assert_eq!(p, before, "pool probe must not touch any unit");
-        let reserved = p.reserve(SimTime::ZERO, us(1.0));
-        assert_eq!(probed, reserved);
-        assert_eq!(probed.2, 1, "idle unit 1 must win");
-        let probed_unit = p.probe_unit(2, SimTime::ZERO, us(4.0));
-        let reserved_unit = p.reserve_unit(2, SimTime::ZERO, us(4.0));
-        assert_eq!(probed_unit, reserved_unit);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! flash before another resource (or the host) consumes them, and never
 //! otherwise.
 
-use conduit::{Policy, RunRequest, Session};
+use std::collections::BTreeSet;
+
+use conduit::{Policy, RunOptions, RunRequest, RuntimeEngine, Session};
 use conduit_sim::SsdDevice;
 use conduit_types::{
     DataLocation, Duration, LogicalPageId, OpType, Operand, Resource, SimTime, SsdConfig,
@@ -136,4 +138,44 @@ fn unsupported_op_on_restricted_resource_errors_cleanly() {
         err,
         conduit_types::ConduitError::UnsupportedOperation { .. }
     ));
+}
+
+#[test]
+fn warm_coherence_state_flips_placement_across_sites() {
+    // Warm a device so that only the first instruction's operands are
+    // DRAM-resident, then run three identical-shape XORs under
+    // DM-Offloading: the residency the warm run left behind must move the
+    // first instruction to a different site than the other two.
+    let cfg = SsdConfig::small_for_tests();
+    let engine = RuntimeEngine::new(&cfg);
+
+    let mut warm = VectorProgram::new("warmup");
+    warm.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
+    let mut hot = VectorProgram::new("hot");
+    hot.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
+    hot.push_binary(OpType::Xor, Operand::page(8), Operand::page(12));
+    hot.push_binary(OpType::Xor, Operand::page(16), Operand::page(20));
+
+    let mut device = SsdDevice::new(&cfg).unwrap();
+    engine.prepare(&mut device, &warm).unwrap();
+    engine.prepare(&mut device, &hot).unwrap();
+    // ISP executes out of DRAM: pages 0..8 become DRAM-resident.
+    engine
+        .run(&mut device, &warm, &RunOptions::new(Policy::IspOnly))
+        .unwrap();
+    assert_eq!(device.locate(LogicalPageId::new(0)), DataLocation::Dram);
+    assert_eq!(device.locate(LogicalPageId::new(8)), DataLocation::Flash);
+    let report = engine
+        .run(&mut device, &hot, &RunOptions::new(Policy::DmOffloading))
+        .unwrap();
+
+    let sites: BTreeSet<_> = report
+        .timeline
+        .iter()
+        .map(|e| format!("{:?}", e.site))
+        .collect();
+    assert!(
+        sites.len() > 1,
+        "expected the warm residency to change placement, got {sites:?}"
+    );
 }

@@ -1,13 +1,14 @@
-//! Property test for the batched-parallel run loop: seeded random vector
-//! programs — mixed shapes, random cross-strip `Operand::Result`
-//! references, random stores — must execute bit-identically under the
-//! parallel (DAG-scheduled) path, the sequential-strips path, and the
-//! scalar reference, on fresh and warm devices alike.
+//! Property test for batch scheduling: seeded random vector programs —
+//! mixed shapes, random `Operand::Result` back-references, random stores —
+//! submitted as one batch must produce bit-identical outcomes and warm
+//! device states whether the session runs them on one worker or fans them
+//! out across two.
 //!
 //! The generator is a counted splitmix64 stream, so every failure is
 //! reproducible from its program index alone.
 
-use conduit::{Policy, RunRequest, Session};
+use conduit::{DeviceHandle, Policy, RunOutcome, RunRequest, Session};
+use conduit_sim::DeviceSnapshot;
 use conduit_types::{InstId, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram};
 
 /// splitmix64: the same tiny deterministic generator the fault-injection
@@ -29,11 +30,10 @@ impl SplitMix64 {
 }
 
 /// A random but always-valid program: 4–23 instructions over the full op
-/// set, ~25% chance per source operand of referencing an earlier result
-/// (back-references freely cross strip boundaries, exercising the DAG
-/// edges), ~1/6 chance of a store (exercising the warm-state prefix that
-/// gates speculation), and occasional narrow element widths so strip
-/// boundaries land on shape changes as well as op changes.
+/// set, ~25% chance per source operand of referencing an earlier result,
+/// ~1/6 chance of a store (which ages a warm device's FTL and coherence
+/// state), and occasional narrow element widths so the estimate tables'
+/// exact-model fallback is exercised too.
 fn random_program(index: usize) -> VectorProgram {
     let mut rng = SplitMix64(0xc0ffee ^ (index as u64).wrapping_mul(0x9e3779b97f4a7c15));
     let n = 4 + rng.below(20) as usize;
@@ -60,73 +60,53 @@ fn random_program(index: usize) -> VectorProgram {
     prog
 }
 
-#[test]
-fn random_programs_run_bit_identically_in_every_mode() {
-    const PROGRAMS: usize = 200;
-    const POLICIES: [Policy; 3] = [Policy::Conduit, Policy::DmOffloading, Policy::IspOnly];
+const PROGRAMS: usize = 200;
+const POLICIES: [Policy; 3] = [Policy::Conduit, Policy::DmOffloading, Policy::IspOnly];
 
+/// Runs every program under every policy twice in one `submit_batch` — once
+/// fresh, once on the policy's warm device — on a session with `workers`
+/// workers. Returns the outcomes and the final snapshots of the three warm
+/// devices.
+fn run_batch(workers: usize) -> (Vec<RunOutcome>, Vec<DeviceSnapshot>) {
     let mut session = Session::builder(SsdConfig::small_for_tests())
-        .workers(4)
+        .workers(workers)
         .build();
-    // One warm-device trio per policy, aged in lockstep: every warm case
-    // submits the same request to all three devices (one per mode), and the
-    // asserted bit-identity is what keeps their streams identical for the
-    // next case.
-    let warm: Vec<[conduit::DeviceHandle; 3]> = POLICIES
-        .iter()
-        .enumerate()
-        .map(|(pi, _)| {
-            [
-                session.create_device(&format!("rand-parallel-{pi}")),
-                session.create_device(&format!("rand-sequential-{pi}")),
-                session.create_device(&format!("rand-scalar-{pi}")),
-            ]
-        })
+    let warm: Vec<DeviceHandle> = (0..POLICIES.len())
+        .map(|pi| session.create_device(&format!("rand-warm-{pi}")))
         .collect();
-
+    let mut requests = Vec::new();
     for index in 0..PROGRAMS {
         let id = session.register(random_program(index)).unwrap();
-        let policy = POLICIES[index % POLICIES.len()];
-        let fresh = index % 2 == 0;
-        let base = RunRequest::new(id, policy).timeline(true);
-        let (parallel, sequential, scalar) = if fresh {
-            (
-                session.submit(&base.clone()).unwrap(),
-                session.submit(&base.clone().sequential_strips()).unwrap(),
-                session.submit(&base.scalar()).unwrap(),
-            )
-        } else {
-            let [d_par, d_seq, d_sca] = warm[index % POLICIES.len()];
-            (
-                session.submit(&base.clone().on_device(d_par)).unwrap(),
-                session
-                    .submit(&base.clone().on_device(d_seq).sequential_strips())
-                    .unwrap(),
-                session.submit(&base.on_device(d_sca).scalar()).unwrap(),
-            )
-        };
+        for (policy, &device) in POLICIES.iter().zip(&warm) {
+            let base = RunRequest::new(id, *policy).timeline(true);
+            requests.push(base.clone());
+            requests.push(base.on_device(device));
+        }
+    }
+    let outcomes = session.submit_batch(&requests).unwrap();
+    let snapshots = warm.iter().map(|&d| session.device_snapshot(d)).collect();
+    (outcomes, snapshots)
+}
+
+#[test]
+fn random_programs_run_bit_identically_across_pool_shapes() {
+    let (serial, serial_devices) = run_batch(1);
+    let (pooled, pooled_devices) = run_batch(2);
+    assert_eq!(serial.len(), PROGRAMS * POLICIES.len() * 2);
+    for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
+        let index = i / (POLICIES.len() * 2);
+        let policy = POLICIES[(i / 2) % POLICIES.len()];
+        let fresh = i % 2 == 0;
         assert_eq!(
-            parallel, sequential,
-            "program {index} ({policy}, fresh={fresh}): parallel diverged from sequential strips"
-        );
-        assert_eq!(
-            parallel, scalar,
-            "program {index} ({policy}, fresh={fresh}): parallel diverged from scalar"
+            a, b,
+            "program {index} ({policy}, fresh={fresh}): 1 worker vs 2 workers diverged"
         );
     }
-
-    // The warm trios must have aged identically, device state included.
-    for (pi, trio) in warm.iter().enumerate() {
-        let reference = session.device_snapshot(trio[0]);
+    for (pi, (a, b)) in serial_devices.iter().zip(&pooled_devices).enumerate() {
         assert_eq!(
-            reference,
-            session.device_snapshot(trio[1]),
-            "policy {pi}: parallel vs sequential warm aging diverged"
-        );
-        assert_eq!(
-            reference,
-            session.device_snapshot(trio[2]),
-            "policy {pi}: parallel vs scalar warm aging diverged"
+            a, b,
+            "{}: warm device aged differently on 1 worker vs 2",
+            POLICIES[pi]
         );
     }
 }

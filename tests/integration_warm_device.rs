@@ -305,3 +305,51 @@ fn fresh_mode_results_match_a_dedicated_session() {
 
     assert_eq!(from_mixed, from_pristine);
 }
+
+#[test]
+fn l2p_miss_cadence_restarts_at_each_repeat() {
+    // A deterministic L2P miss period of 4 (hit rate 0.75): in a run that
+    // charges overheads every instruction bumps the lookup counter exactly
+    // once, so misses land on in-run instruction indices 3, 7, 11 and 15.
+    let mut cfg = SsdConfig::small_for_tests();
+    cfg.l2p_cache_hit_rate = 0.75;
+    let overheads = conduit::OverheadModel::new(&cfg);
+    let mut expected = conduit::OverheadReport::default();
+    for g in 1u64..=16 {
+        expected.record(overheads.per_instruction(2, g.is_multiple_of(4)));
+    }
+
+    // An op change at instruction 10, so the cadence does not line up with
+    // a run of identical instructions.
+    let mut prog = VectorProgram::new("cadence");
+    for k in 0..10u64 {
+        prog.push_binary(OpType::Xor, Operand::page(k * 8), Operand::page(k * 8 + 4));
+    }
+    for k in 10..16u64 {
+        prog.push_binary(OpType::Add, Operand::page(k * 8), Operand::page(k * 8 + 4));
+    }
+
+    let mut session = Session::new(cfg);
+    let id = session.register(prog).unwrap();
+    let fresh = session
+        .submit(&RunRequest::new(id, Policy::Conduit))
+        .unwrap();
+    assert_eq!(fresh.summary.overhead, expected, "fresh-run cadence");
+
+    // The lookup counter is per run: across repeat boundaries the cadence
+    // restarts (repeat 2 misses on the same in-run indices as repeat 1). The
+    // summary carries the final repeat's report, so a counter leaking across
+    // repeats would shift its miss pattern and the totals would differ.
+    let device = session.create_device("cadence");
+    let repeated = session
+        .submit(
+            &RunRequest::new(id, Policy::Conduit)
+                .on_device(device)
+                .repeat(3),
+        )
+        .unwrap();
+    assert_eq!(
+        repeated.summary.overhead, expected,
+        "cadence must restart at each repeat boundary"
+    );
+}
