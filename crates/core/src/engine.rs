@@ -27,7 +27,6 @@ use conduit_types::{
 use crate::cost::CostFunction;
 use crate::overhead::OverheadModel;
 use crate::policy::{Policy, PolicyContext};
-use crate::pool::ThreadPool;
 use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 use crate::transform::InstructionTransformer;
 
@@ -124,6 +123,21 @@ impl StripPlan {
             policy,
             cost_function,
         }
+    }
+}
+
+/// An opaque stand-in that [`RuntimeEngine::run_pooled`] accepts and
+/// ignores. It spawns no threads; batches fan out inside
+/// [`crate::Session::submit_batch`]. The type stays only because the
+/// repository benchmark still names it.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ThreadPool;
+
+impl ThreadPool {
+    /// Returns the stand-in; `workers` is ignored.
+    pub fn new(_workers: usize) -> Self {
+        ThreadPool
     }
 }
 

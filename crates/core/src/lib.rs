@@ -30,14 +30,13 @@
 //!   policy, repeat count and collection flags, getting back a cheap
 //!   [`RunSummary`] (times, energy split, histogram-backed latency
 //!   percentiles, offload mix) plus opt-in [`RunArtifacts`] (the full
-//!   timeline). [`Session::submit_batch`] fans requests out across a
-//!   two-class thread pool (reserved lane slots for per-device FIFO lanes,
-//!   bulk slots for the fresh fan-out) with results bit-identical to serial
-//!   runs; named **warm devices** ([`Session::create_device`],
-//!   [`RunRequest::on_device`]) age their FTL/coherence/GC/wear state
-//!   across their request streams ([`Session::device_snapshot`],
-//!   [`RunSummary::device_delta`]), with open-loop arrivals via
-//!   [`RunRequest::arriving_at`].
+//!   timeline). [`Session::submit_batch`] fans one batch out over scoped
+//!   worker threads — per-device FIFO lanes first, then the fresh requests —
+//!   with results bit-identical at every worker count; named **warm
+//!   devices** ([`Session::create_device`], [`RunRequest::on_device`]) age
+//!   their FTL/coherence/GC/wear state across their request streams
+//!   ([`Session::device_snapshot`], [`RunSummary::device_delta`]), with
+//!   open-loop arrivals via [`RunRequest::arriving_at`].
 //!
 //! ## Quick start
 //!
@@ -66,22 +65,19 @@ mod cost;
 mod engine;
 mod overhead;
 mod policy;
-mod pool;
 mod report;
 mod session;
 mod transform;
 
 pub use cost::{CostFeatures, CostFunction};
-pub use engine::{RunOptions, RuntimeEngine, StripPlan};
+pub use engine::{RunOptions, RuntimeEngine, StripPlan, ThreadPool};
 pub use overhead::{OverheadModel, StorageOverhead};
 pub use policy::{Policy, PolicyContext};
-pub use pool::{JobClass, ThreadPool};
 pub use report::{gmean, EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 pub use session::{
     DeviceHandle, PlanCacheStats, ProgramId, ProgramRegistry, RunArtifacts, RunOutcome, RunRequest,
-    RunSummary, Session, SessionBuilder, DEFAULT_DRR_QUANTUM, DEFAULT_PERCENTILES,
-    DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_FORMAT_VERSION_V1,
-    DEVICE_CHECKPOINT_FORMAT_VERSION_V2, DEVICE_CHECKPOINT_MAGIC, REGISTRY_FORMAT_VERSION,
-    REGISTRY_MAGIC,
+    RunSummary, Session, SessionBuilder, DEFAULT_PERCENTILES, DEVICE_CHECKPOINT_FORMAT_VERSION,
+    DEVICE_CHECKPOINT_FORMAT_VERSION_V1, DEVICE_CHECKPOINT_FORMAT_VERSION_V2,
+    DEVICE_CHECKPOINT_MAGIC, DRR_QUANTUM, REGISTRY_FORMAT_VERSION, REGISTRY_MAGIC,
 };
 pub use transform::{InstructionTransformer, NativeIsa, TranslationEntry};

@@ -7,8 +7,7 @@
 //! module is that server surface:
 //!
 //! * a [`Session`] owns the device/host configuration, a persistent
-//!   **program registry**, a lazily-started work-stealing thread pool, and a
-//!   **pool of named warm devices**;
+//!   **program registry**, and a **pool of named warm devices**;
 //! * programs are registered once ([`Session::register`] →
 //!   [`ProgramId`]) and can be persisted across processes via the compact
 //!   registry serialization ([`Session::export_registry`] /
@@ -29,10 +28,8 @@
 //!   debt, wear) ages across its request stream. In a batch, each device is
 //!   a **FIFO lane** — serial within the device, parallel across devices
 //!   and alongside the fresh fan-out — and outcomes stay bit-identical to a
-//!   fully serial submission of the same batch. On the thread pool, lane
-//!   tasks run in the pool's reserved **lane class**
-//!   ([`crate::pool::JobClass`]), so a ready lane task never waits behind
-//!   the queued fresh backlog;
+//!   single-worker submission of the same batch. Lane tasks are taken
+//!   before fresh ones, so a lane never waits behind the fresh backlog;
 //! * requests can arrive **open-loop**: [`RunRequest::arriving_at`] places
 //!   a request's arrival on the batch timeline, the device's stream clock
 //!   advances to `max(previous finish, arrival)`, and
@@ -91,7 +88,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::mpsc::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use conduit_sim::{
@@ -106,7 +103,6 @@ use conduit_types::{
 use crate::cost::CostFunction;
 use crate::engine::{RunOptions, RuntimeEngine};
 use crate::policy::Policy;
-use crate::pool::ThreadPool;
 use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 
 /// Magic bytes identifying a serialized [`ProgramRegistry`].
@@ -505,7 +501,7 @@ impl RunRequest {
     /// plain FIFO it has always been — bit-identical to pre-flow scheduling.
     /// As soon as weights differ, the lane serves its sub-queues by **deficit
     /// round robin**: each round every backlogged flow's credit grows by
-    /// `quantum × weight` ([`SessionBuilder::drr_quantum`]) and a flow serves
+    /// `quantum × weight` ([`DRR_QUANTUM`]) and a flow serves
     /// requests while its credit lasts, with the *actual* simulated service
     /// time charged against it. Over a saturated stretch each flow's lane
     /// busy-time share converges to its weight share.
@@ -728,8 +724,17 @@ enum PlanMode {
     Device(usize),
 }
 
+/// One unit of work in a [`Session::submit_batch`] call.
+#[derive(Debug, PartialEq)]
+enum BatchTask {
+    /// A device lane: slot, request indices, and the stream clock its
+    /// requests arrive relative to.
+    Lane(usize, Vec<usize>, SimTime),
+    Fresh(usize),
+}
+
 /// Everything needed to execute one request with no reference back to the
-/// session — the unit shipped to pool workers.
+/// session.
 struct RunPlan {
     program: Arc<VectorProgram>,
     options: RunOptions,
@@ -742,14 +747,6 @@ struct RunPlan {
     /// Weighted-fair flow and weight ([`RunRequest::weighted`]).
     flow: u32,
     weight: u32,
-}
-
-/// Shared state of one in-flight batch, shipped to pool workers.
-struct BatchState {
-    ssd: SsdConfig,
-    host: HostConfig,
-    faults: FaultConfig,
-    plans: Vec<RunPlan>,
 }
 
 /// One named warm device of the pool: its lazily-built simulated device and
@@ -824,15 +821,14 @@ fn build_outcome(
 }
 
 /// Executes a fresh-mode plan: every repeat on its own pristine device, so
-/// runs are independent and parallel batches stay bit-identical to serial
-/// submission.
+/// runs are independent and batches stay bit-identical at every worker
+/// count.
 fn execute_fresh(
+    engine: &RuntimeEngine,
     ssd: &SsdConfig,
-    host: &HostConfig,
     faults: FaultConfig,
     plan: &RunPlan,
 ) -> Result<RunOutcome> {
-    let engine = RuntimeEngine::with_host(ssd, host);
     let pristine = DeviceSnapshot::default();
     // An open-loop arrival translates the fresh run's timeline (timestamps
     // shift, service time and energy do not); there is no lane to queue in.
@@ -854,15 +850,15 @@ fn execute_fresh(
 }
 
 /// Executes a warm plan on one device lane. The request **arrives** at the
-/// batch base (the lane's stream clock when the batch was submitted; the
-/// current clock for a lone submit) plus its open-loop arrival offset, and
+/// batch base (the lane's stream clock when the batch was submitted) plus
+/// its open-loop arrival offset, and
 /// issues at `max(previous finish, arrival)`: the stream clock advances
 /// through any idle gap, the arrival-relative wait becomes the outcome's
 /// queueing time, and each repeat then issues at its predecessor's finish.
 ///
 /// The lane mutex is what serializes a device's requests: within a device
-/// runs execute strictly in the order they take the lock (request order, in
-/// both [`Session::submit_batch`] paths), which keeps every per-device
+/// runs execute strictly in the order they take the lock (the lane's
+/// scheduling order, see [`run_lane`]), which keeps every per-device
 /// stream deterministic and replayable while distinct devices proceed in
 /// parallel.
 fn execute_on_lane(
@@ -870,7 +866,7 @@ fn execute_on_lane(
     ssd: &SsdConfig,
     slot: &DeviceSlot,
     plan: &RunPlan,
-    batch_base: Option<SimTime>,
+    batch_base: SimTime,
 ) -> Result<RunOutcome> {
     let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
     let lane = &mut *lane;
@@ -880,7 +876,7 @@ fn execute_on_lane(
     let device = lane.device.as_mut().expect("device was just installed");
     // SimTime + Duration saturates, so a pathological arrival offset clamps
     // at the end of representable time instead of wrapping the clock.
-    let arrival = batch_base.unwrap_or(lane.clock) + plan.arrival;
+    let arrival = batch_base + plan.arrival;
     let before = device.snapshot();
     // Queueing ends when the request's *first* repeat issues; later repeats
     // are part of its own service, not lane wait. An arrival past the
@@ -931,8 +927,8 @@ impl LaneFlow {
 }
 
 /// Serves one device lane's share of a batch, delivering each outcome to
-/// `deliver(request index, outcome)`; `deliver` returns `false` to stop
-/// early (the batch collector went away).
+/// `deliver(request index, outcome)`. A failed request does not stop the
+/// lane: later requests still run and report in their own slots.
 ///
 /// While every request on the lane carries the same weight — the default —
 /// the lane is the plain FIFO it has always been: requests execute in
@@ -956,10 +952,8 @@ impl LaneFlow {
 ///
 /// Everything the scheduler consults — arrivals, the stream clock, service
 /// times — is simulated time, so the dispatch order is deterministic and
-/// identical across pool sizes and across the serial and parallel batch
-/// paths. Over a saturated stretch each flow's lane busy-time share
-/// converges to `weight / Σ weights`.
-#[allow(clippy::too_many_arguments)]
+/// identical at every worker count. Over a saturated stretch each flow's
+/// lane busy-time share converges to `weight / Σ weights`.
 fn run_lane(
     engine: &RuntimeEngine,
     ssd: &SsdConfig,
@@ -967,18 +961,14 @@ fn run_lane(
     plans: &[RunPlan],
     indices: &[usize],
     base: SimTime,
-    quantum: Duration,
-    mut deliver: impl FnMut(usize, Result<RunOutcome>) -> bool,
+    mut deliver: impl FnMut(usize, Result<RunOutcome>),
 ) {
     let uniform = indices
         .windows(2)
         .all(|w| plans[w[0]].weight == plans[w[1]].weight);
     if uniform {
         for &i in indices {
-            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
-            if !deliver(i, outcome) {
-                return;
-            }
+            deliver(i, execute_on_lane(engine, ssd, slot, &plans[i], base));
         }
         return;
     }
@@ -1000,27 +990,25 @@ fn run_lane(
             )),
         }
     }
-    let quantum_ps = quantum.as_ps().max(1) as i128;
+    let quantum_ps = DRR_QUANTUM.as_ps() as i128;
     let arrival = |i: usize| base + plans[i].arrival;
     let clock = || slot.lane.lock().expect("device-lane mutex poisoned").clock;
-    let mut serve = |flows: &mut Vec<(u32, LaneFlow)>, fi: usize| -> Option<bool> {
-        let i = flows[fi].1.head_index()?;
-        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
+    // Serves request `i`, the head of `flow`.
+    let mut serve = |flow: &mut LaneFlow, i: usize| {
+        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], base);
         let service = outcome
             .as_ref()
-            .map(|o| o.summary.service_time)
-            .unwrap_or(Duration::ZERO);
-        let flow = &mut flows[fi].1;
+            .map_or(Duration::ZERO, |o| o.summary.service_time);
         flow.head += 1;
         flow.credit -= service.as_ps() as i128;
-        Some(deliver(i, outcome))
+        deliver(i, outcome);
     };
 
     let mut remaining = indices.len();
     while remaining > 0 {
         let mut served_this_round = false;
-        for fi in 0..flows.len() {
-            let Some(head) = flows[fi].1.head_index() else {
+        for (_, flow) in &mut flows {
+            let Some(head) = flow.head_index() else {
                 continue;
             };
             if arrival(head) > clock() {
@@ -1029,25 +1017,21 @@ fn run_lane(
                 continue;
             }
             let weight = plans[head].weight.max(1) as i128;
-            flows[fi].1.credit += quantum_ps * weight;
-            while flows[fi].1.credit > 0 {
-                let Some(i) = flows[fi].1.head_index() else {
+            flow.credit += quantum_ps * weight;
+            while flow.credit > 0 {
+                let Some(i) = flow.head_index() else {
                     break;
                 };
                 if arrival(i) > clock() {
                     break;
                 }
-                match serve(&mut flows, fi) {
-                    Some(true) => {
-                        remaining -= 1;
-                        served_this_round = true;
-                    }
-                    _ => return,
-                }
+                serve(flow, i);
+                remaining -= 1;
+                served_this_round = true;
             }
-            if flows[fi].1.head_index().is_none() {
+            if flow.head_index().is_none() {
                 // A drained flow forfeits leftover credit.
-                flows[fi].1.credit = 0;
+                flow.credit = 0;
             }
         }
         if served_this_round || remaining == 0 {
@@ -1069,26 +1053,23 @@ fn run_lane(
         for (_, flow) in &mut flows {
             flow.credit = 0;
         }
-        let next = flows
+        let (_, next, i) = flows
             .iter()
             .enumerate()
-            .filter_map(|(fi, (_, f))| f.head_index().map(|i| (arrival(i), fi)))
+            .filter_map(|(fi, (_, f))| f.head_index().map(|i| (arrival(i), fi, i)))
             .min()
-            .map(|(_, fi)| fi)
             .expect("remaining > 0 implies a nonempty flow");
-        match serve(&mut flows, next) {
-            Some(true) => remaining -= 1,
-            _ => return,
-        }
+        serve(&mut flows[next].1, i);
+        remaining -= 1;
     }
 }
 
-/// Default deficit-round-robin quantum for weighted device lanes: the
-/// per-round credit a weight-1 flow earns (see [`RunRequest::weighted`]).
-/// Small relative to typical service times, so shares track weights
-/// smoothly; the exact value only shapes interleaving granularity, not the
-/// long-run weight shares.
-pub const DEFAULT_DRR_QUANTUM: Duration = Duration::from_ps(10_000_000); // 10 µs
+/// The deficit-round-robin quantum of weighted device lanes: the per-round
+/// credit a weight-1 flow earns (see [`RunRequest::weighted`]). Small
+/// relative to typical service times, so shares track weights smoothly; the
+/// exact value only shapes interleaving granularity, not the long-run
+/// weight shares.
+pub const DRR_QUANTUM: Duration = Duration::from_ps(10_000_000); // 10 µs
 
 /// Configures and builds a [`Session`].
 #[derive(Debug, Clone)]
@@ -1097,8 +1078,6 @@ pub struct SessionBuilder {
     host: HostConfig,
     faults: FaultConfig,
     workers: Option<usize>,
-    parallel: bool,
-    drr_quantum: Duration,
 }
 
 impl SessionBuilder {
@@ -1111,8 +1090,6 @@ impl SessionBuilder {
             host: HostConfig::default(),
             faults: FaultConfig::default(),
             workers: None,
-            parallel: true,
-            drr_quantum: DEFAULT_DRR_QUANTUM,
         }
     }
 
@@ -1139,43 +1116,28 @@ impl SessionBuilder {
         self
     }
 
-    /// Disables the batch fan-out: [`Session::submit_batch`] runs requests
-    /// one at a time on the calling thread. Results are bit-identical either
-    /// way; the serial path exists for comparison and debugging.
-    pub fn serial(mut self) -> Self {
-        self.parallel = false;
-        self
+    /// Shorthand for `workers(1)`: [`Session::submit_batch`] runs every
+    /// request on the calling thread. Results are bit-identical at every
+    /// worker count.
+    pub fn serial(self) -> Self {
+        self.workers(1)
     }
 
-    /// Overrides the deficit-round-robin quantum of weighted device lanes
-    /// (default [`DEFAULT_DRR_QUANTUM`]; clamped to at least one
-    /// picosecond). Only mixed-weight lanes consult it — see
-    /// [`RunRequest::weighted`].
-    pub fn drr_quantum(mut self, quantum: Duration) -> Self {
-        self.drr_quantum = Duration::from_ps(quantum.as_ps().max(1));
-        self
-    }
-
-    /// Builds the session. The thread pool starts lazily on the first
-    /// parallel batch, so summary-only sessions never spawn threads.
+    /// Builds the session. Batches spawn their worker threads for the
+    /// duration of one [`Session::submit_batch`] call, so an idle session
+    /// holds no threads.
     pub fn build(self) -> Session {
-        let workers = if self.parallel {
-            self.workers.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        } else {
-            1
-        };
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         Session {
             ssd: self.ssd,
             host: self.host,
             faults: self.faults,
             workers,
-            drr_quantum: self.drr_quantum,
             registry: ProgramRegistry::new(),
-            pool: OnceLock::new(),
             devices: Vec::new(),
             engine: OnceLock::new(),
         }
@@ -1183,8 +1145,7 @@ impl SessionBuilder {
 }
 
 /// A long-lived execution service: device/host configuration, the program
-/// registry, a work-stealing pool for batch fan-out, and a **pool of named
-/// warm devices**.
+/// registry, and a **pool of named warm devices**.
 ///
 /// Fresh runs execute on a pristine simulated device, so they are
 /// independent, deterministic, and identical whether submitted one at a
@@ -1198,8 +1159,8 @@ impl SessionBuilder {
 /// In [`Session::submit_batch`], every device forms a **FIFO lane**:
 /// requests targeting the same device run serially in request order (they
 /// share that device's mutable state), while different devices' lanes — and
-/// the fresh-request fan-out — proceed in parallel on the thread pool.
-/// Outcomes are bit-identical to submitting the same batch serially.
+/// the fresh requests — run in parallel on the batch's worker threads.
+/// Outcomes are bit-identical at every worker count.
 ///
 /// Each device carries an explicit **stream clock**. By default requests are
 /// closed-loop — request *i* issues at request *i−1*'s finish time — while
@@ -1212,8 +1173,8 @@ impl SessionBuilder {
 /// [`Session::device_snapshot`] and resettable via
 /// [`Session::reset_device`], and whole devices can be checkpointed across
 /// processes with [`Session::export_device`] /
-/// [`Session::import_device`]. See the [module documentation](self) for an
-/// end-to-end example.
+/// [`Session::import_device`]. See the [crate documentation](crate) for a
+/// quick start.
 #[derive(Debug)]
 pub struct Session {
     ssd: SsdConfig,
@@ -1221,14 +1182,10 @@ pub struct Session {
     /// Default fault-injection plan for fresh runs and new devices.
     faults: FaultConfig,
     workers: usize,
-    /// Per-round credit unit of mixed-weight (deficit-round-robin) lanes.
-    drr_quantum: Duration,
     registry: ProgramRegistry,
-    pool: OnceLock<ThreadPool>,
     /// The warm-device pool, minted by [`Session::create_device`] /
-    /// [`Session::import_device`]. Behind `Arc` so batch lane tasks can
-    /// run on the thread pool without borrowing the session.
-    devices: Vec<Arc<DeviceSlot>>,
+    /// [`Session::import_device`].
+    devices: Vec<DeviceSlot>,
     /// The engine is stateless and a pure function of the configs; built
     /// once on first use.
     engine: OnceLock<RuntimeEngine>,
@@ -1339,7 +1296,7 @@ impl Session {
             return existing;
         }
         let handle = DeviceHandle(self.devices.len() as u32);
-        self.devices.push(Arc::new(DeviceSlot::new(name, faults)));
+        self.devices.push(DeviceSlot::new(name, faults));
         handle
     }
 
@@ -1369,7 +1326,7 @@ impl Session {
         &self.slot(device).name
     }
 
-    fn slot(&self, device: DeviceHandle) -> &Arc<DeviceSlot> {
+    fn slot(&self, device: DeviceHandle) -> &DeviceSlot {
         self.devices
             .get(device.index())
             .expect("DeviceHandle was minted by a different session")
@@ -1599,70 +1556,22 @@ impl Session {
 
     /// Executes one request on the calling thread (fresh runs on a pristine
     /// device; warm runs continue on their pooled device's persistent
-    /// state).
+    /// state). A lone submit is a batch of one ([`Session::submit_batch`]).
     ///
     /// # Errors
     ///
     /// Propagates unknown program/device handles, preparation and
     /// simulation errors.
     pub fn submit(&self, request: &RunRequest) -> Result<RunOutcome> {
-        let plan = self.plan(request)?;
-        match plan.mode {
-            PlanMode::Fresh => execute_fresh(&self.ssd, &self.host, self.faults, &plan),
-            PlanMode::Device(slot) => {
-                // A lone submit is a batch of one: the lane window covers
-                // exactly this request.
-                self.reset_lane_window_of(slot);
-                execute_on_lane(self.engine(), &self.ssd, &self.devices[slot], &plan, None)
-            }
-        }
+        let mut outcomes = self.submit_batch(std::slice::from_ref(request))?;
+        Ok(outcomes.pop().expect("a batch of one has one outcome"))
     }
 
-    /// Resets the windowed lane statistics of one device slot (no-op for a
-    /// device that has never run).
-    fn reset_lane_window_of(&self, slot: usize) {
-        if let Some(device) = self.devices[slot]
-            .lane
-            .lock()
-            .expect("device-lane mutex poisoned")
-            .device
-            .as_mut()
-        {
-            device.reset_lane_window();
-        }
-    }
-
-    /// Executes a batch of independent requests and returns the outcomes in
-    /// request order. Fresh requests fan out across the session's thread
-    /// pool as bulk-class jobs; warm requests are grouped into **per-device
-    /// lanes** — serial within a device (they share its state and stream
-    /// clock), parallel across devices and alongside the fresh fan-out. A
-    /// lane serves in plain request-order FIFO unless its requests carry
-    /// mixed weights, in which case it serves by deficit round robin over
-    /// per-flow sub-queues ([`RunRequest::weighted`]). Lane tasks run in
-    /// the pool's reserved **lane class** (see [`crate::pool`]), so a ready
-    /// lane never waits behind the queued fresh backlog on a small pool.
-    ///
-    /// Every fresh run simulates on a fresh device and every lane serves
-    /// its device's requests in a deterministic, simulated-time-driven
-    /// order, so the outcomes are **bit-identical** to running the whole
-    /// batch serially — only the wall-clock time changes
-    /// (`tests/integration_determinism.rs` and
-    /// `tests/integration_device_pool.rs` assert this).
-    ///
-    /// # Errors
-    ///
-    /// Resolves every request's program and device up front (failing fast
-    /// on unknown handles) and propagates the first simulation error by
-    /// request order.
-    pub fn submit_batch(&self, requests: &[RunRequest]) -> Result<Vec<RunOutcome>> {
-        let plans: Vec<RunPlan> = requests
-            .iter()
-            .map(|r| self.plan(r))
-            .collect::<Result<_>>()?;
-        let fresh: Vec<usize> = (0..plans.len())
-            .filter(|&i| plans[i].mode == PlanMode::Fresh)
-            .collect();
+    /// Orders a batch's work: one task per device lane (in order of the
+    /// lane's first request, its requests in request order), then one task
+    /// per fresh request. Workers take tasks in this order, so a lane never
+    /// waits behind fresh requests submitted earlier in the batch.
+    fn batch_tasks(&self, plans: &[RunPlan]) -> Vec<BatchTask> {
         // Per-device FIFO lanes, keyed by slot, requests in request order.
         let mut lanes: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
@@ -1673,131 +1582,104 @@ impl Session {
                 }
             }
         }
-        // Each participating device's lane window restarts with the batch —
-        // done on the calling thread, before any worker runs, so the window
-        // boundary is deterministic regardless of pool interleaving.
-        for &(slot, _) in &lanes {
-            self.reset_lane_window_of(slot);
-        }
-        // Every request in a batch "arrives" at its device's current stream
-        // clock; later lane positions accumulate queueing time. Captured up
-        // front so the serial and parallel paths agree bit-identically.
-        let arrivals: Vec<SimTime> = lanes
-            .iter()
-            .map(|&(slot, _)| {
-                self.devices[slot]
+        // Each lane's window restarts with the batch, and every request
+        // "arrives" relative to its device's stream clock at submission —
+        // both settled here, before any worker runs.
+        let mut tasks: Vec<BatchTask> = lanes
+            .into_iter()
+            .map(|(slot, indices)| {
+                let mut lane = self.devices[slot]
                     .lane
                     .lock()
-                    .expect("device-lane mutex poisoned")
-                    .clock
+                    .expect("device-lane mutex poisoned");
+                if let Some(device) = lane.device.as_mut() {
+                    device.reset_lane_window();
+                }
+                BatchTask::Lane(slot, indices, lane.clock)
             })
             .collect();
-        let arrival_of = |slot: usize| {
-            lanes
-                .iter()
-                .position(|&(s, _)| s == slot)
-                .map(|i| arrivals[i])
-                .expect("every device slot in the batch has an arrival clock")
+        tasks.extend(
+            (0..plans.len())
+                .filter(|&i| plans[i].mode == PlanMode::Fresh)
+                .map(BatchTask::Fresh),
+        );
+        tasks
+    }
+
+    /// Executes a batch of independent requests and returns the outcomes in
+    /// request order. Warm requests are grouped into **per-device lanes** —
+    /// serial within a device (they share its state and stream clock),
+    /// parallel across devices and alongside the fresh requests. A lane
+    /// serves in plain request-order FIFO unless its requests carry mixed
+    /// weights, in which case it serves by deficit round robin over
+    /// per-flow sub-queues ([`RunRequest::weighted`]).
+    ///
+    /// The batch is one task list — a task per device lane in order of
+    /// first appearance, then a task per fresh request — drained by
+    /// `min(workers, tasks)` scoped threads, the calling thread among them
+    /// (so a one-worker session spawns nothing). Workers take tasks in list
+    /// order, so lanes start ahead of the fresh backlog.
+    ///
+    /// Every fresh run simulates on a fresh device and every lane serves
+    /// its device's requests in a deterministic, simulated-time-driven
+    /// order, so the outcomes are **bit-identical** at every worker count —
+    /// only the wall-clock time changes (`tests/integration_determinism.rs`
+    /// and `tests/integration_device_pool.rs` assert this).
+    ///
+    /// # Errors
+    ///
+    /// Resolves every request's program and device up front (failing fast
+    /// on unknown handles). Every task then runs even if another fails, so
+    /// devices age the same at every worker count, and the first error by
+    /// request order is returned. A panic inside a task propagates to the
+    /// caller.
+    pub fn submit_batch(&self, requests: &[RunRequest]) -> Result<Vec<RunOutcome>> {
+        let plans: Vec<RunPlan> = requests
+            .iter()
+            .map(|r| self.plan(r))
+            .collect::<Result<_>>()?;
+        let tasks = self.batch_tasks(&plans);
+        let engine = self.engine();
+        let outcomes: Vec<OnceLock<Result<RunOutcome>>> =
+            plans.iter().map(|_| OnceLock::new()).collect();
+        let deliver = |i: usize, outcome: Result<RunOutcome>| {
+            assert!(
+                outcomes[i].set(outcome).is_ok(),
+                "request {i} executed twice"
+            );
         };
-
-        let parallelism = self.workers.min(fresh.len()) + lanes.len();
-        if self.workers <= 1 || parallelism <= 1 {
-            // Execute *every* plan before propagating the first error (by
-            // request order) — the parallel path below cannot short-circuit
-            // one lane on another's failure, so the serial fallback must
-            // not either, or the devices would age differently depending on
-            // the worker count. Fresh runs and distinct lanes never share
-            // state, so walking fresh runs first and then each lane (in its
-            // own scheduling order — see [`run_lane`]) produces the same
-            // outcomes as any interleaving.
-            let mut slots: Vec<Option<Result<RunOutcome>>> =
-                (0..plans.len()).map(|_| None).collect();
-            for &i in &fresh {
-                slots[i] = Some(execute_fresh(&self.ssd, &self.host, self.faults, &plans[i]));
+        // The cursor only hands out task indices; it publishes no data (the
+        // task list is built before the workers start, and outcomes are
+        // published through their `OnceLock`s), so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                match task {
+                    BatchTask::Lane(slot, indices, base) => run_lane(
+                        engine,
+                        &self.ssd,
+                        &self.devices[*slot],
+                        &plans,
+                        indices,
+                        *base,
+                        deliver,
+                    ),
+                    BatchTask::Fresh(i) => deliver(
+                        *i,
+                        execute_fresh(engine, &self.ssd, self.faults, &plans[*i]),
+                    ),
+                }
             }
-            for (slot, indices) in &lanes {
-                run_lane(
-                    self.engine(),
-                    &self.ssd,
-                    &self.devices[*slot],
-                    &plans,
-                    indices,
-                    arrival_of(*slot),
-                    self.drr_quantum,
-                    |i, outcome| {
-                        slots[i] = Some(outcome);
-                        true
-                    },
-                );
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.workers.min(tasks.len()) {
+                scope.spawn(work);
             }
-            return slots
-                .into_iter()
-                .map(|slot| slot.expect("every request executes exactly once"))
-                .collect();
-        }
-
-        let pool = self.pool.get_or_init(|| ThreadPool::new(self.workers));
-        let total = plans.len();
-        let expected = fresh.len() + lanes.iter().map(|(_, idx)| idx.len()).sum::<usize>();
-        let shared = Arc::new(BatchState {
-            ssd: self.ssd.clone(),
-            host: self.host.clone(),
-            faults: self.faults,
-            plans,
+            work();
         });
-        let (tx, rx) = channel();
-        // One lane-class task per device lane, enqueued ahead of the fresh
-        // fan-out: the lane serves its requests (FIFO, or deficit round
-        // robin when weights differ — see [`run_lane`]) while other lanes
-        // and the fresh jobs proceed in parallel, and the pool's reserved
-        // lane slots dequeue these ahead of any queued bulk work. A request
-        // failure does not stop the lane (matching the serial path), it is
-        // reported in that request's slot.
-        let quantum = self.drr_quantum;
-        for (lane_pos, (slot, indices)) in lanes.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            let device = Arc::clone(&self.devices[slot]);
-            let engine = self.engine().clone();
-            let base = arrivals[lane_pos];
-            pool.execute_lane(move || {
-                run_lane(
-                    &engine,
-                    &shared.ssd,
-                    &device,
-                    &shared.plans,
-                    &indices,
-                    base,
-                    quantum,
-                    |i, outcome| tx.send((i, outcome)).is_ok(),
-                );
-            });
-        }
-        // One bulk-class job per fresh request (rather than per-worker
-        // cursor loops): fine-grained jobs let a lane-slot worker that
-        // helped with fresh work return to newly-arrived lane tasks after
-        // one request instead of owning the whole fresh backlog.
-        for i in fresh {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            pool.execute(move || {
-                let outcome =
-                    execute_fresh(&shared.ssd, &shared.host, shared.faults, &shared.plans[i]);
-                let _ = tx.send((i, outcome));
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<Result<RunOutcome>>> = (0..total).map(|_| None).collect();
-        for _ in 0..expected {
-            let (i, outcome) = rx
-                .recv()
-                .map_err(|_| ConduitError::simulation("batch worker terminated unexpectedly"))?;
-            slots[i] = Some(outcome);
-        }
-        slots
+        outcomes
             .into_iter()
-            .map(|slot| slot.expect("every request index reports exactly once"))
+            .map(|outcome| outcome.into_inner().expect("every request executes"))
             .collect()
     }
 }
@@ -1929,6 +1811,107 @@ mod tests {
         let batched = s.submit_batch(&requests).unwrap();
         let serial: Vec<RunOutcome> = requests.iter().map(|r| s.submit(r).unwrap()).collect();
         assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn batch_executes_every_task_on_every_worker_count() {
+        let run = |workers: usize| {
+            let mut s = Session::builder(SsdConfig::small_for_tests())
+                .workers(workers)
+                .build();
+            let id = s.register(program("tasks")).unwrap();
+            let devices: Vec<DeviceHandle> =
+                (0..3).map(|d| s.create_device(&format!("d{d}"))).collect();
+            // Three fresh requests interleaved with lanes of 1, 3 and 2.
+            let targets = [
+                None,
+                Some(0),
+                Some(1),
+                None,
+                Some(1),
+                Some(2),
+                None,
+                Some(2),
+                Some(1),
+            ];
+            let requests: Vec<RunRequest> = targets
+                .iter()
+                .map(|target| {
+                    let request = RunRequest::new(id, Policy::Conduit);
+                    match target {
+                        Some(d) => request.on_device(devices[*d]),
+                        None => request,
+                    }
+                })
+                .collect();
+            let outcomes = s.submit_batch(&requests).unwrap();
+            let lanes: Vec<u64> = devices
+                .iter()
+                .map(|&d| s.device_snapshot(d).lane_requests)
+                .collect();
+            (outcomes, lanes)
+        };
+        let (outcomes, lanes) = run(1);
+        assert_eq!(outcomes.len(), 9);
+        assert_eq!(lanes, [1, 3, 2]);
+        // More workers than tasks, too: every task still runs once.
+        for workers in [2, 3, 16] {
+            assert_eq!(run(workers), (outcomes.clone(), lanes.clone()));
+        }
+    }
+
+    #[test]
+    fn zero_workers_are_clamped_to_one() {
+        let mut s = Session::builder(SsdConfig::small_for_tests())
+            .workers(0)
+            .build();
+        assert_eq!(s.workers(), 1);
+        let id = s.register(program("clamp")).unwrap();
+        let requests = [Policy::HostCpu, Policy::Conduit].map(|p| RunRequest::new(id, p));
+        assert_eq!(s.submit_batch(&requests).unwrap().len(), 2);
+    }
+
+    /// Lane tasks are queued ahead of fresh requests that came earlier in
+    /// the batch, so a ready lane never waits behind the fresh backlog.
+    /// Asserted on the task list itself — the one part of the schedule that
+    /// is deterministic under OS thread scheduling.
+    #[test]
+    fn lane_tasks_overtake_the_earlier_fresh_backlog() {
+        let mut s = session();
+        let id = s.register(program("order")).unwrap();
+        let d0 = s.create_device("d0");
+        let d1 = s.create_device("d1");
+        let fresh = RunRequest::new(id, Policy::Conduit);
+        let requests = [
+            fresh.clone(),
+            fresh.clone(),
+            fresh.clone(),
+            fresh.clone().on_device(d1),
+            fresh.clone(),
+            fresh.clone().on_device(d0),
+            fresh.clone().on_device(d1),
+        ];
+        let plans: Vec<RunPlan> = requests
+            .iter()
+            .map(|r| s.plan(r))
+            .collect::<Result<_>>()
+            .unwrap();
+        let slot = |i: usize| match plans[i].mode {
+            PlanMode::Device(slot) => slot,
+            PlanMode::Fresh => unreachable!("request {i} targets a device"),
+        };
+        assert_eq!(
+            s.batch_tasks(&plans),
+            vec![
+                BatchTask::Lane(slot(3), vec![3, 6], SimTime::ZERO),
+                BatchTask::Lane(slot(5), vec![5], SimTime::ZERO),
+                BatchTask::Fresh(0),
+                BatchTask::Fresh(1),
+                BatchTask::Fresh(2),
+                BatchTask::Fresh(4),
+            ],
+            "lanes must be queued ahead of the earlier-submitted fresh requests"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! SLO-aware admission control and checkpoint-based work migration.
 //!
 //! * **Sharded sessions** — a [`Fleet`] owns `shards` fully independent
-//!   [`Session`]s (same SSD/host/fault configuration, same worker-pool
-//!   shape). Tenants are placed on shards by **rendezvous (HRW) hashing**
+//!   [`Session`]s (same SSD/host/fault configuration, same batch worker
+//!   count). Tenants are placed on shards by **rendezvous (HRW) hashing**
 //!   over the tenant name, seeded by the fleet seed: the same tenant set
 //!   and seed always produce the same assignment, and adding shards only
 //!   moves the tenants that hash to the new shard.
@@ -36,8 +36,8 @@
 //! Determinism contract: everything is driven by simulated time and the
 //! fleet seed. Per-device request streams are identical whatever shard
 //! their device lands on, so merged fleet results are independent of the
-//! shard count for single-tenant streams and bit-identical across serial
-//! and multi-worker session pools.
+//! shard count for single-tenant streams and bit-identical at every session
+//! worker count.
 //!
 //! ```
 //! use conduit_fleet::Fleet;
@@ -137,11 +137,9 @@ pub struct FleetBuilder {
     faults: FaultConfig,
     shards: usize,
     workers: Option<usize>,
-    serial: bool,
     seed: u64,
     window: Duration,
     min_slo_samples: usize,
-    drr_quantum: Option<Duration>,
 }
 
 impl FleetBuilder {
@@ -152,11 +150,9 @@ impl FleetBuilder {
             faults: FaultConfig::default(),
             shards: 1,
             workers: None,
-            serial: false,
             seed: DEFAULT_FLEET_SEED,
             window: DEFAULT_ADMISSION_WINDOW,
             min_slo_samples: DEFAULT_MIN_SLO_SAMPLES,
-            drr_quantum: None,
         }
     }
 
@@ -178,18 +174,17 @@ impl FleetBuilder {
         self
     }
 
-    /// Worker threads per shard's session pool.
+    /// Batch worker threads per shard's session (default: one per
+    /// available CPU core; see [`conduit::SessionBuilder::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self.serial = false;
         self
     }
 
-    /// Runs every shard on the calling thread (no worker pools).
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
-        self.workers = None;
-        self
+    /// Shorthand for `workers(1)`: every shard runs its batches on the
+    /// calling thread.
+    pub fn serial(self) -> Self {
+        self.workers(1)
     }
 
     /// Routing seed: same seed + same tenant names = same placement.
@@ -210,12 +205,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Deficit-round-robin quantum forwarded to every shard's session.
-    pub fn drr_quantum(mut self, quantum: Duration) -> Self {
-        self.drr_quantum = Some(quantum);
-        self
-    }
-
     /// Builds the fleet: `shards` identically-configured sessions.
     pub fn build(self) -> Fleet {
         let shards = (0..self.shards)
@@ -224,12 +213,7 @@ impl FleetBuilder {
                 if let Some(host) = &self.host {
                     b = b.host(host.clone());
                 }
-                if let Some(quantum) = self.drr_quantum {
-                    b = b.drr_quantum(quantum);
-                }
-                if self.serial {
-                    b = b.serial();
-                } else if let Some(workers) = self.workers {
+                if let Some(workers) = self.workers {
                     b = b.workers(workers);
                 }
                 b.build()
@@ -492,8 +476,7 @@ impl Fleet {
     /// window (see the crate docs). Shed requests are never executed;
     /// they are counted per tenant and reported as typed
     /// [`ShedEvent`]s. Within a window each shard serves its records as
-    /// one batch (bit-identical across that session's serial and
-    /// multi-worker pools).
+    /// one batch (bit-identical at every worker count).
     ///
     /// # Errors
     ///

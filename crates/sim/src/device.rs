@@ -190,10 +190,11 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL or core allocation.
+    /// Returns [`conduit_types::ConduitError::InvalidConfig`] for a
+    /// configuration [`SsdConfig::validate`] rejects, and configuration
+    /// errors from the FTL or core allocation.
     pub fn new(cfg: &SsdConfig) -> Result<Self> {
-        let state = DeviceState::new(cfg)?;
-        Self::with_state(cfg, state)
+        Self::with_faults(cfg, FaultConfig::default())
     }
 
     /// Builds a pristine device with a fault-injection plan attached (see
@@ -202,7 +203,9 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL or core allocation.
+    /// Returns [`conduit_types::ConduitError::InvalidConfig`] for a
+    /// configuration [`SsdConfig::validate`] rejects, and configuration
+    /// errors from the FTL or core allocation.
     pub fn with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Result<Self> {
         let state = DeviceState::new_with_faults(cfg, faults)?;
         Self::with_state(cfg, state)
@@ -215,11 +218,15 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the core allocation.
+    /// Returns [`conduit_types::ConduitError::InvalidConfig`] for a
+    /// configuration [`SsdConfig::validate`] rejects, and configuration
+    /// errors from the core allocation.
     pub fn with_state(cfg: &SsdConfig, state: DeviceState) -> Result<Self> {
-        // Validation only: the controller must have a valid core split. A
-        // checkpoint import builds its device here, so this also checks
-        // imported configurations.
+        // Validation only: the configuration must be simulable and the
+        // controller must have a valid core split. A checkpoint import
+        // builds its device here, so this also checks imported
+        // configurations.
+        cfg.validate()?;
         CoreAllocation::standard(&cfg.ctrl)?;
         Ok(SsdDevice {
             models: Arc::new(DeviceModels::new(cfg)),
@@ -492,8 +499,8 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] if the resource cannot
-    /// execute `op`.
+    /// Returns [`conduit_types::ConduitError::UnsupportedOperation`] if the
+    /// resource cannot execute `op`.
     pub fn execute(
         &mut self,
         resource: Resource,
@@ -514,8 +521,8 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the IFP
-    /// set.
+    /// Returns [`conduit_types::ConduitError::UnsupportedOperation`] for ops
+    /// outside the IFP set.
     pub fn execute_ifp(
         &mut self,
         op: OpType,
@@ -554,8 +561,8 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the PuD
-    /// set.
+    /// Returns [`conduit_types::ConduitError::UnsupportedOperation`] for ops
+    /// outside the PuD set.
     pub fn execute_pud(
         &mut self,
         op: OpType,

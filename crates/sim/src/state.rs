@@ -107,8 +107,9 @@ impl DeviceState {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL (degenerate geometry) or
-    /// core allocation.
+    /// Returns [`ConduitError::InvalidConfig`] for a configuration
+    /// [`SsdConfig::validate`] rejects, and configuration errors from the
+    /// FTL or core allocation.
     pub fn new(cfg: &SsdConfig) -> Result<Self> {
         Self::new_with_faults(cfg, FaultConfig::default())
     }
@@ -120,9 +121,13 @@ impl DeviceState {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL (degenerate geometry) or
-    /// core allocation.
+    /// Returns [`ConduitError::InvalidConfig`] for a configuration
+    /// [`SsdConfig::validate`] rejects, and configuration errors from the
+    /// FTL or core allocation.
     pub fn new_with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Result<Self> {
+        // Every pristine state — and so every checkpoint decode — starts
+        // here, before any model divides by a configured count or rate.
+        cfg.validate()?;
         let ftl = Ftl::with_faults(cfg, faults)?;
         let total_dies = (cfg.flash.channels * cfg.flash.dies_per_channel) as usize;
         let compute_core_count = conduit_ctrl::CoreAllocation::standard(&cfg.ctrl)?

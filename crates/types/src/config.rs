@@ -9,6 +9,7 @@
 
 use crate::bytes::{put_f64, put_u32, put_u64};
 use crate::energy::Energy;
+use crate::error::{ConduitError, Result};
 use crate::time::Duration;
 
 /// Appends a [`Duration`] to a canonical encoding as raw picoseconds.
@@ -706,6 +707,62 @@ impl SsdConfig {
         overheads.encode_canonical(&mut canonical);
         put_f64(&mut canonical, *l2p_cache_hit_rate);
         crate::bytes::fnv1a(&canonical)
+    }
+
+    /// Checks that the configuration describes a device the models can
+    /// simulate: every geometry, bank and page count is non-zero, and the
+    /// controller clock and every bandwidth are finite and positive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConduitError::InvalidConfig`] naming the first offending
+    /// field.
+    pub fn validate(&self) -> Result<()> {
+        let counts = [
+            ("flash.channels", u64::from(self.flash.channels)),
+            (
+                "flash.dies_per_channel",
+                u64::from(self.flash.dies_per_channel),
+            ),
+            ("flash.planes_per_die", u64::from(self.flash.planes_per_die)),
+            (
+                "flash.blocks_per_plane",
+                u64::from(self.flash.blocks_per_plane),
+            ),
+            (
+                "flash.pages_per_block",
+                u64::from(self.flash.pages_per_block),
+            ),
+            ("flash.page_bytes", self.flash.page_bytes),
+            ("dram.channels", u64::from(self.dram.channels)),
+            ("dram.ranks", u64::from(self.dram.ranks)),
+            ("dram.banks", u64::from(self.dram.banks)),
+            ("dram.row_bytes", self.dram.row_bytes),
+            ("ctrl.mve_bytes", u64::from(self.ctrl.mve_bytes)),
+        ];
+        if let Some((field, _)) = counts.iter().find(|(_, count)| *count == 0) {
+            return Err(ConduitError::invalid_config(format!(
+                "{field} must be non-zero"
+            )));
+        }
+        let rates = [
+            ("ctrl.freq_hz", self.ctrl.freq_hz),
+            (
+                "flash.channel_bytes_per_sec",
+                self.flash.channel_bytes_per_sec,
+            ),
+            ("dram.bus_bytes_per_sec", self.dram.bus_bytes_per_sec),
+            ("link.pcie_bytes_per_sec", self.link.pcie_bytes_per_sec),
+        ];
+        if let Some((field, rate)) = rates
+            .iter()
+            .find(|(_, rate)| !(rate.is_finite() && *rate > 0.0))
+        {
+            return Err(ConduitError::invalid_config(format!(
+                "{field} must be finite and positive, got {rate}"
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -5,8 +5,8 @@
 //!
 //! 1. **Per-device determinism**: a mixed batch across three warm devices
 //!    plus fresh requests is bit-identical whether the lanes run in
-//!    parallel on the thread pool or the whole batch runs serially on the
-//!    calling thread.
+//!    parallel on several workers or the whole batch runs on the calling
+//!    thread.
 //! 2. **Checkpoint fidelity**: exporting a device mid-stream, importing it
 //!    into a fresh session and replaying the remainder matches the
 //!    uninterrupted run exactly.
@@ -26,8 +26,8 @@
 //!    ```text
 //!    CONDUIT_REGEN_GOLDEN=1 cargo test --test integration_device_pool
 //!    ```
-//! 4. **Scheduling**: on a small two-worker pool, lane tasks run in the
-//!    thread pool's reserved lane class, so a batch whose fresh backlog
+//! 4. **Scheduling**: on two workers, lane tasks sit ahead of the fresh
+//!    tasks in the batch's task list, so a batch whose fresh backlog
 //!    dwarfs its lane work still serves the lanes promptly — without
 //!    changing any simulated result (everything stays bit-identical to
 //!    `.serial()` submission).
@@ -246,18 +246,20 @@ fn checkpointed_device_replays_identically_to_the_uninterrupted_stream() {
     assert_eq!(after.device_clock(dev_after), session.device_clock(device));
 }
 
-/// The acceptance scenario for the two-class scheduler: a 2-worker pool,
-/// one batch of 16 heavy fresh requests plus 4 light one-request lanes.
+/// The lanes-first scenario: two workers, one batch of 16 heavy fresh
+/// requests plus 4 light one-request lanes, the lanes last in request
+/// order.
 ///
-/// Under the old single-queue pool the lane tasks were enqueued behind the
-/// whole fresh fan-out, so on a small pool the lanes' *wall-clock*
-/// completion waited for the fresh cursor to drain — pure scheduler
-/// artifact. With reserved lane slots the lanes finish while the fresh
-/// backlog is still running. The *simulated* lane queueing, meanwhile, is
-/// arrival-relative and scheduler-independent: each one-request lane finds
-/// its device idle, so its `queueing_time` is exactly zero (the metric now
-/// measures device contention only, never pool contention), and the whole
-/// batch stays bit-identical to `.serial()` submission.
+/// `submit_batch` builds one task list with every lane ahead of every
+/// fresh request, and its workers take tasks in list order. So the lanes'
+/// *wall-clock* completion does not wait for the fresh backlog to drain:
+/// the lanes finish while the fresh requests are still running. (A queue
+/// in request order would serve them last — pure scheduler artifact.) The
+/// *simulated* lane queueing, meanwhile, is arrival-relative and
+/// scheduler-independent: each one-request lane finds its device idle, so
+/// its `queueing_time` is exactly zero (the metric measures device
+/// contention only, never worker contention), and the whole batch stays
+/// bit-identical to `.serial()` submission.
 #[test]
 fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
     let build = |configure: fn(conduit::SessionBuilder) -> conduit::SessionBuilder| {
@@ -307,8 +309,8 @@ fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
 
     // Wall-clock fairness: the four lanes were served long before the
     // 16-request fresh backlog drained. (The generous factor keeps the
-    // assertion robust on noisy CI machines; the old FIFO pool sat at
-    // ~100% of the batch time.)
+    // assertion robust on noisy CI machines; a queue in request order sits
+    // at ~100% of the batch time.)
     assert!(
         lanes_done_after < total / 2,
         "lanes finished after {lanes_done_after:?} of a {total:?} batch — \

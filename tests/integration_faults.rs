@@ -1,11 +1,14 @@
 //! Deterministic fault injection end to end: seeded fault plans are
-//! bit-identical across thread-pool sizes, degraded devices reject writes
-//! with a typed error instead of panicking, degraded state survives an
+//! bit-identical across worker counts, degraded devices reject writes
+//! with a typed error instead of panicking, a batch that hits a degraded
+//! device still serves every other task, degraded state survives an
 //! export/import/replay cycle exactly, a zero-fault plan cannot perturb a
-//! fault-free session, and corrupted fault-state checkpoint bytes are
-//! rejected cleanly.
+//! fault-free session, corrupted fault-state checkpoint bytes are rejected
+//! cleanly, and invalid configurations fail with the same typed error at
+//! every worker count.
 
 use conduit::{DeviceHandle, Policy, ProgramId, RunOutcome, RunRequest, Session};
+use conduit_sim::SsdDevice;
 use conduit_types::{
     ConduitError, FaultConfig, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram,
 };
@@ -124,7 +127,14 @@ fn seeded_faults_are_bit_identical_across_pool_sizes() {
 /// Drives a device past its spare-block budget and returns the session,
 /// the degraded device, and the registered program ids.
 fn degraded_session() -> (Session, DeviceHandle, ProgramId, ProgramId) {
-    let mut session = pool_session(|b| b.serial());
+    degraded_session_on(1)
+}
+
+/// [`degraded_session`] on a session with `workers` batch workers. The
+/// device is aged by lone submits, so it degrades identically whatever the
+/// worker count.
+fn degraded_session_on(workers: usize) -> (Session, DeviceHandle, ProgramId, ProgramId) {
+    let mut session = pool_session(|b| b.workers(workers));
     let writer = session.register(writer_program()).unwrap();
     let reader = session.register(reader_program()).unwrap();
     let device = session.create_device_with_faults(
@@ -187,6 +197,41 @@ fn degraded_device_rejects_writes_and_keeps_serving_reads() {
         .submit(&RunRequest::new(reader, Policy::Conduit).on_device(device))
         .unwrap();
     assert_eq!(outcome.summary.instructions, 2);
+}
+
+/// One batch mixes fresh requests, a healthy device lane and a write to a
+/// degraded device. The write fails, but every other task still runs, so
+/// the batch returns the same error and leaves the same device state at
+/// every worker count.
+#[test]
+fn a_failed_lane_does_not_stop_the_rest_of_the_batch() {
+    let run = |workers: usize| {
+        let (mut session, degraded, writer, reader) = degraded_session_on(workers);
+        let healthy = session.create_device("healthy");
+        let batch = vec![
+            RunRequest::new(writer, Policy::Conduit),
+            RunRequest::new(writer, Policy::Conduit).on_device(healthy),
+            RunRequest::new(writer, Policy::Conduit).on_device(degraded),
+            RunRequest::new(reader, Policy::IspOnly),
+            RunRequest::new(writer, Policy::HostCpu).on_device(healthy),
+            RunRequest::new(reader, Policy::Conduit).on_device(degraded),
+            RunRequest::new(reader, Policy::Conduit).on_device(healthy),
+        ];
+        let err = session.submit_batch(&batch).unwrap_err();
+        let state =
+            [healthy, degraded].map(|d| (session.device_snapshot(d), session.device_clock(d)));
+        (err, state)
+    };
+
+    let (err, [healthy, degraded]) = run(1);
+    assert!(
+        matches!(err, ConduitError::DeviceDegraded { .. }),
+        "expected DeviceDegraded, got {err}"
+    );
+    // Every request on both lanes ran, including those after the failure.
+    assert_eq!(healthy.0.lane_requests, 3);
+    assert_eq!(degraded.0.window_requests, 2);
+    assert_eq!(run(3), (err, [healthy, degraded]));
 }
 
 #[test]
@@ -330,4 +375,76 @@ fn corrupted_fault_state_checkpoints_are_rejected_not_panicked() {
     let mut probe = pool_session(|b| b.serial());
     let ok = probe.import_device("fuzzed", &bytes).unwrap();
     assert_eq!(probe.device_snapshot(ok), snap);
+}
+
+/// Configurations whose models cannot simulate anything: a zero geometry,
+/// bank or page count, or a zero, negative, NaN or infinite clock or
+/// bandwidth.
+fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
+    let edit = |field: &'static str, change: &dyn Fn(&mut SsdConfig)| {
+        let mut cfg = SsdConfig::small_for_tests();
+        change(&mut cfg);
+        (field, cfg)
+    };
+    let mut configs = vec![
+        edit("flash.channels", &|c| c.flash.channels = 0),
+        edit("flash.dies_per_channel", &|c| c.flash.dies_per_channel = 0),
+        edit("flash.planes_per_die", &|c| c.flash.planes_per_die = 0),
+        edit("flash.blocks_per_plane", &|c| c.flash.blocks_per_plane = 0),
+        edit("flash.pages_per_block", &|c| c.flash.pages_per_block = 0),
+        edit("flash.page_bytes", &|c| c.flash.page_bytes = 0),
+        edit("dram.channels", &|c| c.dram.channels = 0),
+        edit("dram.ranks", &|c| c.dram.ranks = 0),
+        edit("dram.banks", &|c| c.dram.banks = 0),
+        edit("dram.row_bytes", &|c| c.dram.row_bytes = 0),
+        edit("ctrl.mve_bytes", &|c| c.ctrl.mve_bytes = 0),
+    ];
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        configs.extend([
+            edit("ctrl.freq_hz", &|c| c.ctrl.freq_hz = bad),
+            edit("flash.channel_bytes_per_sec", &|c| {
+                c.flash.channel_bytes_per_sec = bad
+            }),
+            edit("dram.bus_bytes_per_sec", &|c| {
+                c.dram.bus_bytes_per_sec = bad
+            }),
+            edit("link.pcie_bytes_per_sec", &|c| {
+                c.link.pcie_bytes_per_sec = bad
+            }),
+        ]);
+    }
+    configs
+}
+
+#[test]
+fn invalid_configs_fail_with_the_same_typed_error_at_every_worker_count() {
+    // Legacy v1 checkpoints carry no configuration fingerprint, so their
+    // import reaches the device-state decoder under the session's config.
+    let legacy = include_bytes!("golden/device_checkpoint_v1.bin");
+    for (field, cfg) in invalid_configs() {
+        let err = SsdDevice::new(&cfg).unwrap_err();
+        assert!(
+            matches!(&err, ConduitError::InvalidConfig { reason } if reason.contains(field)),
+            "{field}: expected InvalidConfig naming the field, got {err}"
+        );
+        for workers in [1, 2] {
+            let mut session = Session::builder(cfg.clone()).workers(workers).build();
+            let writer = session.register(writer_program()).unwrap();
+            let device = session.create_device("tenant");
+            let batch = [
+                RunRequest::new(writer, Policy::Conduit),
+                RunRequest::new(writer, Policy::Conduit).on_device(device),
+            ];
+            assert_eq!(
+                session.submit_batch(&batch).unwrap_err(),
+                err,
+                "{field} at {workers} workers"
+            );
+            assert_eq!(
+                session.import_device("legacy", legacy).unwrap_err(),
+                err,
+                "{field}: checkpoint import"
+            );
+        }
+    }
 }
