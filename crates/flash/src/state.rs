@@ -6,16 +6,20 @@
 //! has been erased (for wear-leveling) and whether it has been retired as a
 //! bad block.
 //!
-//! The array is stored **struct-of-arrays**: one flat byte per page state
-//! and one flat column per block attribute (erase count, write pointer,
-//! bad flag, invalid-page count). A pristine array is all zeroes, so
-//! construction is a handful of zeroed allocations the OS can serve from
-//! untouched virtual pages — building a paper-scale device (hundreds of
-//! thousands of blocks) costs microseconds instead of milliseconds, which
-//! matters because fresh-run benchmarks construct one device per repeat.
-//! Aggregates the hot paths ask for on every operation (`page_totals`,
-//! per-block page counts, wear statistics) are maintained incrementally and
-//! answered in O(1) instead of rescanning the array.
+//! Only **touched** blocks (programmed, erased or retired at least once)
+//! carry a record. Records live in a two-level table: a slot per 64-block
+//! chunk, allocated on the first touch of any of its blocks, and absent
+//! blocks read as pristine. Each record holds the block's erase count, bad
+//! flag, invalid-page count and the page codes below its write pointer —
+//! flash programs sequentially, so every page at or above the pointer is
+//! free and needs no storage. A pristine paper-scale array (262,144 blocks
+//! of 196 pages) is a 64 KiB table of empty slots, where dense per-page and
+//! per-block columns would be ~55 MiB the allocator must zero or fault in
+//! page by page. Building a device and placing a program therefore pay for
+//! the blocks the program touches, not for the whole array, and indexing a
+//! block stays O(1). Aggregates the hot paths ask for on every
+//! operation (`page_totals`, per-block page counts, wear statistics) are
+//! maintained incrementally and answered in O(1) instead of rescanning.
 
 use crate::geometry::FlashGeometry;
 use conduit_types::bytes::{put_u32, put_u64, Reader};
@@ -45,9 +49,43 @@ fn decode_page(code: u8) -> PageState {
     }
 }
 
+/// Blocks per lazily allocated chunk of block records.
+const CHUNK_BLOCKS: usize = 64;
+
+/// The bookkeeping of one block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockRecord {
+    erase_count: u64,
+    /// Page codes below the write pointer: the length *is* the write
+    /// pointer.
+    codes: Vec<u8>,
+    invalid: u32,
+    bad: bool,
+}
+
+/// What every block not yet in the table reads as.
+static PRISTINE: BlockRecord = BlockRecord {
+    erase_count: 0,
+    codes: Vec::new(),
+    invalid: 0,
+    bad: false,
+};
+
+impl BlockRecord {
+    /// Never programmed, never erased, not retired: indistinguishable from
+    /// a factory-fresh block, so it carries no information.
+    fn is_pristine(&self) -> bool {
+        self.erase_count == 0 && !self.bad && self.codes.is_empty()
+    }
+
+    fn write_pointer(&self) -> u32 {
+        self.codes.len() as u32
+    }
+}
+
 /// A by-value view of one block's bookkeeping: erase count, bad flag, write
-/// pointer and page counts. Cheap to copy; reading one costs four array
-/// loads from the struct-of-arrays columns.
+/// pointer and page counts. Cheap to copy; reading one costs a chunk-slot
+/// load and a record load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     erase_count: u64,
@@ -73,7 +111,7 @@ impl BlockInfo {
     /// Flash programs sequentially, so every page below the write pointer is
     /// `Valid` or `Invalid` and every page at or above it is `Free`; the
     /// counts fall out of the write pointer and the maintained invalid
-    /// count without touching the page array.
+    /// count without touching the page codes.
     pub fn page_counts(&self) -> (u32, u32, u32) {
         let free = self.pages_per_block - self.write_pointer;
         let valid = self.write_pointer - self.invalid;
@@ -92,6 +130,9 @@ impl BlockInfo {
 
 /// State of every physical page and block in the flash array.
 ///
+/// Equality compares the touched blocks and the aggregates: an allocated
+/// chunk slot whose other blocks are still pristine equals an absent one.
+///
 /// # Examples
 ///
 /// ```
@@ -105,21 +146,14 @@ impl BlockInfo {
 /// assert_eq!(state.page_state(addr), PageState::Valid);
 /// # Ok::<(), conduit_types::ConduitError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FlashState {
     geometry: FlashGeometry,
     pages_per_block: u32,
-    /// One code per physical page (`PAGE_FREE`/`PAGE_VALID`/`PAGE_INVALID`),
-    /// indexed `block * pages_per_block + page`.
-    page_states: Vec<u8>,
-    /// Per-block erase counts.
-    erase_counts: Vec<u64>,
-    /// Per-block next sequential program target.
-    write_pointers: Vec<u32>,
-    /// Per-block bad flag (0/1).
-    bad: Vec<u8>,
-    /// Per-block count of invalid pages (GC victim selection).
-    invalid_counts: Vec<u32>,
+    total_blocks: u64,
+    /// Slot `i` holds the records of blocks `i * CHUNK_BLOCKS ..`; `None`
+    /// until one of them is first touched.
+    chunks: Vec<Option<Box<[BlockRecord]>>>,
     /// Array-wide running totals, maintained on every transition.
     valid_pages: u64,
     invalid_pages: u64,
@@ -130,21 +164,31 @@ pub struct FlashState {
     erased_blocks: u64,
 }
 
+impl PartialEq for FlashState {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry
+            && self.valid_pages == other.valid_pages
+            && self.invalid_pages == other.invalid_pages
+            && self.total_erases == other.total_erases
+            && self.max_erases == other.max_erases
+            && self.erased_blocks == other.erased_blocks
+            && self.touched().eq(other.touched())
+    }
+}
+
+impl Eq for FlashState {}
+
 impl FlashState {
-    /// Creates a fully-erased flash array. All columns start zeroed, so
-    /// this performs no per-block work.
+    /// Creates a fully-erased flash array: an empty chunk table, so this
+    /// performs no per-block work.
     pub fn new(cfg: &FlashConfig) -> Self {
         let geometry = FlashGeometry::new(cfg);
-        let blocks = geometry.total_blocks() as usize;
-        let pages = blocks * cfg.pages_per_block as usize;
+        let total_blocks = geometry.total_blocks();
         FlashState {
             geometry,
             pages_per_block: cfg.pages_per_block,
-            page_states: vec![0u8; pages],
-            erase_counts: vec![0u64; blocks],
-            write_pointers: vec![0u32; blocks],
-            bad: vec![0u8; blocks],
-            invalid_counts: vec![0u32; blocks],
+            total_blocks,
+            chunks: vec![None; (total_blocks as usize).div_ceil(CHUNK_BLOCKS)],
             valid_pages: 0,
             invalid_pages: 0,
             total_erases: 0,
@@ -158,6 +202,45 @@ impl FlashState {
         &self.geometry
     }
 
+    /// The record of block `b`, pristine if it was never touched.
+    fn record(&self, b: u64) -> &BlockRecord {
+        let b = b as usize;
+        match &self.chunks[b / CHUNK_BLOCKS] {
+            Some(chunk) => &chunk[b % CHUNK_BLOCKS],
+            None => &PRISTINE,
+        }
+    }
+
+    /// The record of block `b`, allocating its chunk on first touch.
+    fn record_mut(&mut self, b: u64) -> &mut BlockRecord {
+        let b = b as usize;
+        let total = self.total_blocks as usize;
+        let chunk = self.chunks[b / CHUNK_BLOCKS].get_or_insert_with(|| {
+            let first = b - b % CHUNK_BLOCKS;
+            vec![PRISTINE.clone(); CHUNK_BLOCKS.min(total - first)].into_boxed_slice()
+        });
+        &mut chunk[b % CHUNK_BLOCKS]
+    }
+
+    /// Every record in an allocated chunk, in block order.
+    fn records(&self) -> impl Iterator<Item = (u64, &BlockRecord)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, chunk)| chunk.as_deref().map(|c| (i * CHUNK_BLOCKS, c)))
+            .flat_map(|(first, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(move |(j, rec)| ((first + j) as u64, rec))
+            })
+    }
+
+    /// The touched blocks, in block order.
+    fn touched(&self) -> impl Iterator<Item = (u64, &BlockRecord)> {
+        self.records().filter(|(_, rec)| !rec.is_pristine())
+    }
+
     /// Block bookkeeping for the block containing `addr`.
     pub fn block(&self, addr: PhysicalPageAddr) -> BlockInfo {
         self.block_by_index(self.geometry.block_index_of(addr))
@@ -165,29 +248,30 @@ impl FlashState {
 
     /// Block bookkeeping by flat block index.
     pub fn block_by_index(&self, block_index: u64) -> BlockInfo {
-        let b = block_index as usize;
+        let rec = self.record(block_index);
         BlockInfo {
-            erase_count: self.erase_counts[b],
-            bad: self.bad[b] != 0,
-            write_pointer: self.write_pointers[b],
+            erase_count: rec.erase_count,
+            bad: rec.bad,
+            write_pointer: rec.write_pointer(),
             pages_per_block: self.pages_per_block,
-            invalid: self.invalid_counts[b],
+            invalid: rec.invalid,
         }
     }
 
     /// Total number of blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.erase_counts.len() as u64
-    }
-
-    fn page_index(&self, addr: PhysicalPageAddr) -> usize {
-        self.geometry.block_index_of(addr) as usize * self.pages_per_block as usize
-            + addr.page as usize
+        self.total_blocks
     }
 
     /// The state of a single physical page.
     pub fn page_state(&self, addr: PhysicalPageAddr) -> PageState {
-        decode_page(self.page_states[self.page_index(addr)])
+        let rec = self.record(self.geometry.block_index_of(addr));
+        decode_page(
+            rec.codes
+                .get(addr.page as usize)
+                .copied()
+                .unwrap_or(PAGE_FREE),
+        )
     }
 
     /// Marks a page as programmed with valid data.
@@ -198,26 +282,34 @@ impl FlashState {
     /// the block's next sequential page, or the block is bad — all of which
     /// indicate an FTL bug.
     pub fn program(&mut self, addr: PhysicalPageAddr) -> Result<()> {
-        let b = self.geometry.block_index_of(addr) as usize;
-        if self.bad[b] != 0 {
+        let b = self.geometry.block_index_of(addr);
+        let rec = self.record(b);
+        if rec.bad {
             return Err(ConduitError::simulation(format!(
                 "program to bad block at {addr}"
             )));
         }
-        let idx = b * self.pages_per_block as usize + addr.page as usize;
-        if self.page_states[idx] != PAGE_FREE {
+        if rec
+            .codes
+            .get(addr.page as usize)
+            .is_some_and(|&code| code != PAGE_FREE)
+        {
             return Err(ConduitError::simulation(format!(
                 "program to non-free page at {addr}"
             )));
         }
-        if self.write_pointers[b] != addr.page as u32 {
+        if rec.write_pointer() != addr.page as u32 {
             return Err(ConduitError::simulation(format!(
                 "out-of-order program at {addr} (write pointer {})",
-                self.write_pointers[b]
+                rec.write_pointer()
             )));
         }
-        self.page_states[idx] = PAGE_VALID;
-        self.write_pointers[b] += 1;
+        let pages_per_block = self.pages_per_block as usize;
+        let rec = self.record_mut(b);
+        if rec.codes.capacity() == 0 {
+            rec.codes.reserve_exact(pages_per_block);
+        }
+        rec.codes.push(PAGE_VALID);
         self.valid_pages += 1;
         Ok(())
     }
@@ -229,16 +321,22 @@ impl FlashState {
     /// Returns [`ConduitError::Simulation`] if the page is not valid.
     pub fn invalidate(&mut self, addr: PhysicalPageAddr) -> Result<()> {
         let b = self.geometry.block_index_of(addr) as usize;
-        let idx = b * self.pages_per_block as usize + addr.page as usize;
-        if self.page_states[idx] != PAGE_VALID {
+        let page = addr.page as usize;
+        // An absent block holds no valid page, so a rejected invalidate
+        // never allocates.
+        let Some(rec) = self.chunks[b / CHUNK_BLOCKS]
+            .as_deref_mut()
+            .map(|chunk| &mut chunk[b % CHUNK_BLOCKS])
+            .filter(|rec| rec.codes.get(page) == Some(&PAGE_VALID))
+        else {
             return Err(ConduitError::simulation(format!(
                 "invalidate of non-valid page at {addr}"
             )));
-        }
-        self.page_states[idx] = PAGE_INVALID;
+        };
+        rec.codes[page] = PAGE_INVALID;
+        rec.invalid += 1;
         self.valid_pages -= 1;
         self.invalid_pages += 1;
-        self.invalid_counts[b] += 1;
         Ok(())
     }
 
@@ -249,60 +347,60 @@ impl FlashState {
     /// Returns [`ConduitError::Simulation`] if the block still contains
     /// valid pages (the FTL must relocate them first) or is bad.
     pub fn erase_block(&mut self, block_index: u64) -> Result<()> {
-        let b = block_index as usize;
-        if self.bad[b] != 0 {
+        let rec = self.record(block_index);
+        if rec.bad {
             return Err(ConduitError::simulation("erase of bad block"));
         }
-        let written = self.write_pointers[b];
         // Every page below the write pointer is Valid or Invalid; pages at
         // or beyond it are Free. A block still holding valid pages must be
         // collected first.
-        if written > self.invalid_counts[b] {
+        if rec.write_pointer() > rec.invalid {
             return Err(ConduitError::simulation(
                 "erase of block that still holds valid pages",
             ));
         }
-        let base = b * self.pages_per_block as usize;
-        self.page_states[base..base + written as usize].fill(PAGE_FREE);
-        self.invalid_pages -= self.invalid_counts[b] as u64;
-        self.invalid_counts[b] = 0;
-        self.write_pointers[b] = 0;
-        if self.erase_counts[b] == 0 {
+        let rec = self.record_mut(block_index);
+        let invalid = rec.invalid;
+        rec.codes.clear();
+        rec.invalid = 0;
+        rec.erase_count += 1;
+        let erases = rec.erase_count;
+        self.invalid_pages -= invalid as u64;
+        if erases == 1 {
             self.erased_blocks += 1;
         }
-        self.erase_counts[b] += 1;
         self.total_erases += 1;
-        self.max_erases = self.max_erases.max(self.erase_counts[b]);
+        self.max_erases = self.max_erases.max(erases);
         Ok(())
     }
 
     /// Retires a block as bad. Its pages become unusable.
     pub fn mark_bad(&mut self, block_index: u64) {
-        self.bad[block_index as usize] = 1;
+        self.record_mut(block_index).bad = true;
     }
 
     /// Totals across the whole array: `(free, valid, invalid)` pages.
     /// Maintained incrementally, so this is O(1) — it sits on the garbage
     /// collector's should-run check, which runs on every rewrite.
     pub fn page_totals(&self) -> (u64, u64, u64) {
-        let total = self.page_states.len() as u64;
+        let total = self.total_blocks * self.pages_per_block as u64;
         let free = total - self.valid_pages - self.invalid_pages;
         (free, self.valid_pages, self.invalid_pages)
     }
 
     /// The block (if any) with the most invalid pages, ties broken by the
     /// lowest index — the garbage collector's victim-selection rule,
-    /// answered from the per-block invalid column without touching page
-    /// states.
+    /// answered from the per-block invalid counts of the touched blocks
+    /// without touching page codes.
     pub fn most_invalid_block(&self) -> Option<u64> {
         let mut best: Option<(u64, u32)> = None;
-        for (b, &invalid) in self.invalid_counts.iter().enumerate() {
-            if invalid == 0 || self.bad[b] != 0 {
+        for (b, rec) in self.records() {
+            if rec.invalid == 0 || rec.bad {
                 continue;
             }
             match best {
-                Some((_, best_invalid)) if invalid <= best_invalid => {}
-                _ => best = Some((b as u64, invalid)),
+                Some((_, best_invalid)) if rec.invalid <= best_invalid => {}
+                _ => best = Some((b, rec.invalid)),
             }
         }
         best.map(|(b, _)| b)
@@ -313,40 +411,24 @@ impl FlashState {
     /// little-endian checkpoint layout. The geometry is *not* stored — it is
     /// a pure function of the [`FlashConfig`] the decoder is given.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let blocks = self.erase_counts.len();
-        put_u64(out, blocks as u64);
-        let ppb = self.pages_per_block as usize;
-        for b in 0..blocks {
-            put_u64(out, self.erase_counts[b]);
-            out.push(self.bad[b]);
-            put_u32(out, self.write_pointers[b]);
-            // Page states packed four to a byte (Free=0, Valid=1, Invalid=2).
-            Self::pack_pages(&self.page_states[b * ppb..(b + 1) * ppb], out);
+        put_u64(out, self.total_blocks);
+        for b in 0..self.total_blocks {
+            Self::encode_record(self.record(b), self.pages_per_block as usize, out);
         }
     }
 
-    fn pack_pages(codes: &[u8], out: &mut Vec<u8>) {
-        let mut acc = 0u8;
-        let mut filled = 0u8;
-        for &code in codes {
-            acc |= code << (2 * filled);
-            filled += 1;
-            if filled == 4 {
-                out.push(acc);
-                acc = 0;
-                filled = 0;
-            }
+    /// Appends one block's erase count, bad flag and write pointer, then its
+    /// first `pages` page states packed four to a byte (Free=0, Valid=1,
+    /// Invalid=2); pages at or beyond the write pointer are Free.
+    fn encode_record(rec: &BlockRecord, pages: usize, out: &mut Vec<u8>) {
+        put_u64(out, rec.erase_count);
+        out.push(u8::from(rec.bad));
+        put_u32(out, rec.write_pointer());
+        let start = out.len();
+        out.resize(start + pages.div_ceil(4), 0);
+        for (i, &code) in rec.codes.iter().enumerate() {
+            out[start + i / 4] |= code << (2 * (i % 4));
         }
-        if filled > 0 {
-            out.push(acc);
-        }
-    }
-
-    /// Whether a block is indistinguishable from a factory-fresh one:
-    /// never programmed, never erased, not retired. Such blocks carry no
-    /// information and are skipped by the sparse encoding.
-    fn block_is_pristine(&self, b: usize) -> bool {
-        self.erase_counts[b] == 0 && self.bad[b] == 0 && self.write_pointers[b] == 0
     }
 
     /// Appends a **delta-against-pristine** image of the array: only
@@ -358,60 +440,88 @@ impl FlashState {
     /// array size, while a fully-written device costs the same as the dense
     /// [`FlashState::encode_into`] layout plus one index per block.
     pub fn encode_sparse_into(&self, out: &mut Vec<u8>) {
-        let blocks = self.erase_counts.len();
-        put_u64(out, blocks as u64);
-        let touched = (0..blocks).filter(|&b| !self.block_is_pristine(b)).count();
-        put_u64(out, touched as u64);
-        let ppb = self.pages_per_block as usize;
-        for b in 0..blocks {
-            if self.block_is_pristine(b) {
-                continue;
-            }
-            put_u64(out, b as u64);
-            put_u64(out, self.erase_counts[b]);
-            out.push(self.bad[b]);
-            put_u32(out, self.write_pointers[b]);
-            let written = self.write_pointers[b] as usize;
-            debug_assert!(
-                self.page_states[b * ppb + written..(b + 1) * ppb]
-                    .iter()
-                    .all(|&p| p == PAGE_FREE),
-                "pages beyond the write pointer must be Free"
-            );
-            Self::pack_pages(&self.page_states[b * ppb..b * ppb + written], out);
+        put_u64(out, self.total_blocks);
+        put_u64(out, self.touched().count() as u64);
+        for (b, rec) in self.touched() {
+            put_u64(out, b);
+            Self::encode_record(rec, rec.codes.len(), out);
         }
     }
 
-    /// Rebuilds the O(1) aggregate columns (page totals, per-block invalid
-    /// counts, wear totals) from the freshly decoded raw columns.
-    fn rebuild_aggregates(&mut self) {
-        let ppb = self.pages_per_block as usize;
-        self.valid_pages = 0;
-        self.invalid_pages = 0;
-        self.total_erases = 0;
-        self.max_erases = 0;
-        self.erased_blocks = 0;
-        for b in 0..self.erase_counts.len() {
-            let written = self.write_pointers[b] as usize;
-            let mut invalid = 0u32;
-            let mut valid = 0u32;
-            for &code in &self.page_states[b * ppb..b * ppb + written] {
-                match code {
-                    PAGE_VALID => valid += 1,
-                    PAGE_INVALID => invalid += 1,
-                    _ => {}
-                }
+    /// Reads one block's erase count, bad flag, write pointer and packed
+    /// page codes. The dense layout stores all `pages_per_block` codes,
+    /// and those at or beyond the write pointer must be `Free`; the sparse
+    /// layout stores only the codes below the write pointer.
+    fn decode_record(
+        r: &mut Reader<'_>,
+        pages_per_block: usize,
+        dense: bool,
+    ) -> Result<BlockRecord> {
+        let erase_count = r.counter()?;
+        let bad = match r.u8()? {
+            0 => false,
+            1 => true,
+            v => {
+                return Err(ConduitError::corrupt_checkpoint(format!(
+                    "unknown bad-block flag {v}"
+                )))
             }
-            self.invalid_counts[b] = invalid;
-            self.valid_pages += valid as u64;
-            self.invalid_pages += invalid as u64;
-            let erases = self.erase_counts[b];
-            self.total_erases += erases;
-            self.max_erases = self.max_erases.max(erases);
-            if erases > 0 {
-                self.erased_blocks += 1;
+        };
+        let written = r.u32()? as usize;
+        if written > pages_per_block {
+            return Err(ConduitError::corrupt_checkpoint(
+                "write pointer beyond block size",
+            ));
+        }
+        let stored = if dense { pages_per_block } else { written };
+        let packed = r.take(stored.div_ceil(4))?;
+        let mut codes = Vec::with_capacity(if written > 0 { pages_per_block } else { 0 });
+        for i in 0..stored {
+            let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
+            if code > PAGE_INVALID {
+                return Err(ConduitError::corrupt_checkpoint(format!(
+                    "unknown page-state code {code}"
+                )));
+            }
+            if i < written {
+                codes.push(code);
+            } else if code != PAGE_FREE {
+                return Err(ConduitError::corrupt_checkpoint(
+                    "programmed page at or beyond the block's write pointer",
+                ));
             }
         }
+        let invalid = codes.iter().filter(|&&code| code == PAGE_INVALID).count() as u32;
+        Ok(BlockRecord {
+            erase_count,
+            codes,
+            invalid,
+            bad,
+        })
+    }
+
+    /// Rebuilds the O(1) aggregates (page totals, wear totals) from the
+    /// freshly decoded records.
+    fn rebuild_aggregates(&mut self) {
+        let mut valid_pages = 0;
+        let mut invalid_pages = 0;
+        let mut total_erases = 0;
+        let mut max_erases = 0;
+        let mut erased_blocks = 0;
+        for (_, rec) in self.touched() {
+            valid_pages += rec.codes.iter().filter(|&&code| code == PAGE_VALID).count() as u64;
+            invalid_pages += rec.invalid as u64;
+            total_erases += rec.erase_count;
+            max_erases = max_erases.max(rec.erase_count);
+            if rec.erase_count > 0 {
+                erased_blocks += 1;
+            }
+        }
+        self.valid_pages = valid_pages;
+        self.invalid_pages = invalid_pages;
+        self.total_erases = total_erases;
+        self.max_erases = max_erases;
+        self.erased_blocks = erased_blocks;
     }
 
     /// Decodes a state serialized by [`FlashState::encode_sparse_into`] for
@@ -426,14 +536,14 @@ impl FlashState {
     /// pointer beyond the block size.
     pub fn decode_sparse_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut state = FlashState::new(cfg);
-        let total = r.u64()? as usize;
-        if total != state.erase_counts.len() {
+        let total = r.u64()?;
+        if total != state.total_blocks {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint has {total} blocks but the configuration describes {}",
-                state.erase_counts.len()
+                state.total_blocks
             )));
         }
-        let touched = r.u64()? as usize;
+        let touched = r.u64()?;
         if touched > total {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint stores {touched} touched blocks of only {total}"
@@ -443,7 +553,7 @@ impl FlashState {
         let mut prev_index: Option<u64> = None;
         for _ in 0..touched {
             let index = r.u64()?;
-            if index as usize >= total {
+            if index >= total {
                 return Err(ConduitError::corrupt_checkpoint(format!(
                     "touched block index {index} outside the {total}-block array"
                 )));
@@ -454,35 +564,7 @@ impl FlashState {
                 ));
             }
             prev_index = Some(index);
-            let b = index as usize;
-            state.erase_counts[b] = r.counter()?;
-            state.bad[b] = match r.u8()? {
-                0 => 0,
-                1 => 1,
-                v => {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown bad-block flag {v}"
-                    )))
-                }
-            };
-            state.write_pointers[b] = r.u32()?;
-            let written = state.write_pointers[b] as usize;
-            if written > pages_per_block {
-                return Err(ConduitError::corrupt_checkpoint(
-                    "write pointer beyond block size",
-                ));
-            }
-            let packed = r.take(written.div_ceil(4))?;
-            let base = b * pages_per_block;
-            for i in 0..written {
-                let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
-                if code > PAGE_INVALID {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown page-state code {code}"
-                    )));
-                }
-                state.page_states[base + i] = code;
-            }
+            *state.record_mut(index) = Self::decode_record(r, pages_per_block, false)?;
         }
         state.rebuild_aggregates();
         Ok(state)
@@ -502,47 +584,18 @@ impl FlashState {
     /// page on the next re-export).
     pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut state = FlashState::new(cfg);
-        let count = r.u64()? as usize;
-        if count != state.erase_counts.len() {
+        let count = r.u64()?;
+        if count != state.total_blocks {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint has {count} blocks but the configuration describes {}",
-                state.erase_counts.len()
+                state.total_blocks
             )));
         }
         let pages_per_block = cfg.pages_per_block as usize;
-        let packed_len = pages_per_block.div_ceil(4);
         for b in 0..count {
-            state.erase_counts[b] = r.counter()?;
-            state.bad[b] = match r.u8()? {
-                0 => 0,
-                1 => 1,
-                v => {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown bad-block flag {v}"
-                    )))
-                }
-            };
-            state.write_pointers[b] = r.u32()?;
-            if state.write_pointers[b] as usize > pages_per_block {
-                return Err(ConduitError::corrupt_checkpoint(
-                    "write pointer beyond block size",
-                ));
-            }
-            let packed = r.take(packed_len)?;
-            let base = b * pages_per_block;
-            for i in 0..pages_per_block {
-                let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
-                if code > PAGE_INVALID {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown page-state code {code}"
-                    )));
-                }
-                if i >= state.write_pointers[b] as usize && code != PAGE_FREE {
-                    return Err(ConduitError::corrupt_checkpoint(
-                        "programmed page at or beyond the block's write pointer",
-                    ));
-                }
-                state.page_states[base + i] = code;
+            let rec = Self::decode_record(r, pages_per_block, true)?;
+            if !rec.is_pristine() {
+                *state.record_mut(b) = rec;
             }
         }
         state.rebuild_aggregates();
@@ -554,16 +607,18 @@ impl FlashState {
     /// every block has been erased at least once, which only a pathological
     /// workload reaches (and then it pays one scan).
     pub fn wear_stats(&self) -> (u64, u64, f64) {
-        let blocks = self.erase_counts.len() as u64;
-        let min = if self.erased_blocks < blocks {
+        let min = if self.erased_blocks < self.total_blocks {
             0
         } else {
-            self.erase_counts.iter().copied().min().unwrap_or(0)
+            self.touched()
+                .map(|(_, rec)| rec.erase_count)
+                .min()
+                .unwrap_or(0)
         };
-        let mean = if blocks == 0 {
+        let mean = if self.total_blocks == 0 {
             0.0
         } else {
-            self.total_erases as f64 / blocks as f64
+            self.total_erases as f64 / self.total_blocks as f64
         };
         (min, self.max_erases, mean)
     }
@@ -829,5 +884,259 @@ mod tests {
         assert_eq!(invalid, 0);
         assert_eq!(free, s.geometry().pages_per_block() - 1);
         assert_eq!(s.block(a0).next_free_page(), Some(1));
+    }
+
+    /// Dense reference model for the differential test: one code per page
+    /// and one column per block attribute, every answer recomputed by
+    /// scanning, and both checkpoint layouts written out independently.
+    struct DenseModel {
+        pages_per_block: usize,
+        codes: Vec<u8>,
+        erases: Vec<u64>,
+        write_pointers: Vec<usize>,
+        bad: Vec<bool>,
+    }
+
+    impl DenseModel {
+        fn new(blocks: usize, pages_per_block: usize) -> Self {
+            DenseModel {
+                pages_per_block,
+                codes: vec![PAGE_FREE; blocks * pages_per_block],
+                erases: vec![0; blocks],
+                write_pointers: vec![0; blocks],
+                bad: vec![false; blocks],
+            }
+        }
+
+        fn block_codes(&self, b: usize) -> &[u8] {
+            &self.codes[b * self.pages_per_block..(b + 1) * self.pages_per_block]
+        }
+
+        fn count(&self, b: usize, code: u8) -> u32 {
+            self.block_codes(b).iter().filter(|&&c| c == code).count() as u32
+        }
+
+        fn program(&mut self, b: usize, page: usize) -> bool {
+            let ok = !self.bad[b]
+                && self.codes[b * self.pages_per_block + page] == PAGE_FREE
+                && self.write_pointers[b] == page;
+            if ok {
+                self.codes[b * self.pages_per_block + page] = PAGE_VALID;
+                self.write_pointers[b] += 1;
+            }
+            ok
+        }
+
+        fn invalidate(&mut self, b: usize, page: usize) -> bool {
+            let code = &mut self.codes[b * self.pages_per_block + page];
+            let ok = *code == PAGE_VALID;
+            if ok {
+                *code = PAGE_INVALID;
+            }
+            ok
+        }
+
+        fn erase(&mut self, b: usize) -> bool {
+            let ok = !self.bad[b] && self.count(b, PAGE_VALID) == 0;
+            if ok {
+                let ppb = self.pages_per_block;
+                self.codes[b * ppb..(b + 1) * ppb].fill(PAGE_FREE);
+                self.write_pointers[b] = 0;
+                self.erases[b] += 1;
+            }
+            ok
+        }
+
+        fn page_totals(&self) -> (u64, u64, u64) {
+            let count = |code| self.codes.iter().filter(|&&c| c == code).count() as u64;
+            (count(PAGE_FREE), count(PAGE_VALID), count(PAGE_INVALID))
+        }
+
+        fn most_invalid_block(&self) -> Option<u64> {
+            let mut best: Option<(usize, u32)> = None;
+            for b in 0..self.erases.len() {
+                let invalid = self.count(b, PAGE_INVALID);
+                if invalid > 0 && !self.bad[b] && best.is_none_or(|(_, most)| invalid > most) {
+                    best = Some((b, invalid));
+                }
+            }
+            best.map(|(b, _)| b as u64)
+        }
+
+        fn wear_stats(&self) -> (u64, u64, f64) {
+            let min = self.erases.iter().copied().min().unwrap_or(0);
+            let max = self.erases.iter().copied().max().unwrap_or(0);
+            let mean = self.erases.iter().sum::<u64>() as f64 / self.erases.len() as f64;
+            (min, max, mean)
+        }
+
+        fn put_block(&self, b: usize, pages: usize, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.erases[b].to_le_bytes());
+            out.push(u8::from(self.bad[b]));
+            out.extend_from_slice(&(self.write_pointers[b] as u32).to_le_bytes());
+            for quad in self.block_codes(b)[..pages].chunks(4) {
+                out.push(quad.iter().rev().fold(0, |acc, &code| acc << 2 | code));
+            }
+        }
+
+        fn encode_dense(&self) -> Vec<u8> {
+            let mut out = (self.erases.len() as u64).to_le_bytes().to_vec();
+            for b in 0..self.erases.len() {
+                self.put_block(b, self.pages_per_block, &mut out);
+            }
+            out
+        }
+
+        fn encode_sparse(&self) -> Vec<u8> {
+            let touched: Vec<usize> = (0..self.erases.len())
+                .filter(|&b| self.erases[b] > 0 || self.bad[b] || self.write_pointers[b] > 0)
+                .collect();
+            let mut out = (self.erases.len() as u64).to_le_bytes().to_vec();
+            out.extend_from_slice(&(touched.len() as u64).to_le_bytes());
+            for b in touched {
+                out.extend_from_slice(&(b as u64).to_le_bytes());
+                self.put_block(b, self.write_pointers[b], &mut out);
+            }
+            out
+        }
+    }
+
+    fn splitmix(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn assert_matches_model(s: &FlashState, model: &DenseModel, cfg: &FlashConfig) {
+        let geo = s.geometry();
+        let ppb = model.pages_per_block;
+        for flat in 0..geo.total_pages() {
+            assert_eq!(
+                s.page_state(geo.addr_of(flat)),
+                decode_page(model.codes[flat as usize]),
+                "page {flat}"
+            );
+        }
+        for b in 0..s.total_blocks() {
+            let info = s.block_by_index(b);
+            let i = b as usize;
+            assert_eq!(info.erase_count(), model.erases[i], "block {b}");
+            assert_eq!(info.is_bad(), model.bad[i], "block {b}");
+            let wp = model.write_pointers[i] as u32;
+            let counts = (
+                ppb as u32 - wp,
+                model.count(i, PAGE_VALID),
+                model.count(i, PAGE_INVALID),
+            );
+            assert_eq!(info.page_counts(), counts, "block {b}");
+            let next = (!model.bad[i] && wp < ppb as u32).then_some(wp);
+            assert_eq!(info.next_free_page(), next, "block {b}");
+        }
+        assert_eq!(s.page_totals(), model.page_totals());
+        assert_eq!(s.most_invalid_block(), model.most_invalid_block());
+        assert_eq!(s.wear_stats(), model.wear_stats());
+        let mut dense = Vec::new();
+        s.encode_into(&mut dense);
+        assert_eq!(dense, model.encode_dense());
+        let mut sparse = Vec::new();
+        s.encode_sparse_into(&mut sparse);
+        assert_eq!(sparse, model.encode_sparse());
+        assert_eq!(
+            &FlashState::decode_from(cfg, &mut Reader::new(&dense)).unwrap(),
+            s
+        );
+        assert_eq!(
+            &FlashState::decode_sparse_from(cfg, &mut Reader::new(&sparse)).unwrap(),
+            s
+        );
+    }
+
+    #[test]
+    fn random_operations_match_a_dense_reference_model() {
+        // 200 blocks of 7 pages: three full 64-block chunks and a partial
+        // one, and a page count that leaves the last packed byte half used.
+        let mut cfg = SsdConfig::small_for_tests().flash;
+        cfg.channels = 1;
+        cfg.dies_per_channel = 1;
+        cfg.planes_per_die = 2;
+        cfg.blocks_per_plane = 100;
+        cfg.pages_per_block = 7;
+        let blocks = 200;
+        let ppb = 7;
+        for seed in 1..=3u64 {
+            let mut rng = seed;
+            let mut s = FlashState::new(&cfg);
+            let mut model = DenseModel::new(blocks, ppb);
+            for step in 0..1000 {
+                let roll = splitmix(&mut rng);
+                // Most operations land on a few hot blocks so they fill,
+                // go stale and get erased; the rest scatter over all chunks.
+                let b = if roll.is_multiple_of(4) {
+                    (roll >> 8) as usize % blocks
+                } else {
+                    (roll >> 8) as usize % 12
+                };
+                let any_page = (roll >> 32) as usize % ppb;
+                let before = s.clone();
+                let addr = |page: usize| s.geometry().addr_of((b * ppb + page) as u64);
+                let accepted = match (roll >> 40) % 100 {
+                    0..=44 => {
+                        let wp = model.write_pointers[b];
+                        let page = if roll >> 48 & 7 == 0 || wp == ppb {
+                            any_page
+                        } else {
+                            wp
+                        };
+                        let a = addr(page);
+                        let ok = model.program(b, page);
+                        assert_eq!(s.program(a).is_ok(), ok, "seed {seed} step {step}");
+                        ok
+                    }
+                    45..=79 => {
+                        let wp = model.write_pointers[b];
+                        let page = if roll >> 48 & 7 == 0 || wp == 0 {
+                            any_page
+                        } else {
+                            any_page % wp
+                        };
+                        let a = addr(page);
+                        let ok = model.invalidate(b, page);
+                        assert_eq!(s.invalidate(a).is_ok(), ok, "seed {seed} step {step}");
+                        ok
+                    }
+                    80..=96 => {
+                        let ok = model.erase(b);
+                        assert_eq!(
+                            s.erase_block(b as u64).is_ok(),
+                            ok,
+                            "seed {seed} step {step}"
+                        );
+                        ok
+                    }
+                    97 => {
+                        // Sweep: erase every block that allows it, so the
+                        // wear minimum can leave zero.
+                        for block in 0..blocks {
+                            let ok = model.erase(block);
+                            assert_eq!(s.erase_block(block as u64).is_ok(), ok);
+                        }
+                        true
+                    }
+                    // Retire a block rarely, or the hot blocks all go bad.
+                    _ if roll.is_multiple_of(8) => {
+                        model.bad[b] = true;
+                        s.mark_bad(b as u64);
+                        true
+                    }
+                    _ => continue,
+                };
+                if !accepted {
+                    assert_eq!(s, before, "seed {seed} step {step}: rejected op mutated");
+                }
+                assert_matches_model(&s, &model, &cfg);
+            }
+        }
     }
 }

@@ -129,10 +129,9 @@ impl DeviceState {
         // here, before any model divides by a configured count or rate.
         cfg.validate()?;
         let ftl = Ftl::with_faults(cfg, faults)?;
-        let total_dies = (cfg.flash.channels * cfg.flash.dies_per_channel) as usize;
+        let total_dies = cfg.flash.total_dies() as usize;
         let compute_core_count = conduit_ctrl::CoreAllocation::standard(&cfg.ctrl)?
-            .count(conduit_ctrl::CoreRole::Compute)
-            .max(1);
+            .count(conduit_ctrl::CoreRole::Compute);
         let dram_capacity_pages =
             (cfg.dram.capacity_bytes / 2 / cfg.flash.page_bytes).max(16) as usize;
         let ctrl_capacity_pages = (cfg.ctrl.sram_bytes / cfg.flash.page_bytes).max(4) as usize;

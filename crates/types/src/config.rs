@@ -710,8 +710,10 @@ impl SsdConfig {
     }
 
     /// Checks that the configuration describes a device the models can
-    /// simulate: every geometry, bank and page count is non-zero, and the
-    /// controller clock and every bandwidth are finite and positive.
+    /// simulate: every geometry, bank and page count and the compute-core
+    /// count are non-zero, the flash block count, page count and capacity
+    /// fit in a `u64`, and the controller clock and every bandwidth are
+    /// finite and positive.
     ///
     /// # Errors
     ///
@@ -739,11 +741,31 @@ impl SsdConfig {
             ("dram.banks", u64::from(self.dram.banks)),
             ("dram.row_bytes", self.dram.row_bytes),
             ("ctrl.mve_bytes", u64::from(self.ctrl.mve_bytes)),
+            ("ctrl.compute_cores", u64::from(self.ctrl.compute_cores)),
         ];
         if let Some((field, _)) = counts.iter().find(|(_, count)| *count == 0) {
             return Err(ConduitError::invalid_config(format!(
                 "{field} must be non-zero"
             )));
+        }
+        // Every count is non-zero here, so blocks <= pages <= bytes: a
+        // capacity that fits means the block and page counts fit too.
+        let f = &self.flash;
+        let capacity = [
+            f.dies_per_channel,
+            f.planes_per_die,
+            f.blocks_per_plane,
+            f.pages_per_block,
+        ]
+        .into_iter()
+        .try_fold(u64::from(f.channels), |acc, n| {
+            acc.checked_mul(u64::from(n))
+        })
+        .and_then(|pages| pages.checked_mul(f.page_bytes));
+        if capacity.is_none() {
+            return Err(ConduitError::invalid_config(
+                "flash geometry overflows u64 (blocks, pages or capacity in bytes)",
+            ));
         }
         let rates = [
             ("ctrl.freq_hz", self.ctrl.freq_hz),
@@ -889,5 +911,49 @@ mod tests {
         // 4 KiB over 1.2 GB/s ≈ 3.41 us
         let t = f.page_transfer_time();
         assert!((t.as_us() - 3.413).abs() < 0.01);
+    }
+
+    #[test]
+    fn validate_rejects_a_geometry_that_overflows_u64() {
+        let validate = |change: &dyn Fn(&mut FlashConfig)| {
+            let mut cfg = SsdConfig::small_for_tests();
+            change(&mut cfg.flash);
+            cfg.validate()
+        };
+        let overflows = [
+            // Block count.
+            validate(&|f| {
+                f.channels = u32::MAX;
+                f.dies_per_channel = u32::MAX;
+                f.planes_per_die = u32::MAX;
+                f.blocks_per_plane = u32::MAX;
+            }),
+            // Page count, with a block count that fits.
+            validate(&|f| {
+                f.channels = u32::MAX;
+                f.dies_per_channel = 1;
+                f.planes_per_die = 1;
+                f.blocks_per_plane = u32::MAX;
+                f.pages_per_block = u32::MAX;
+            }),
+            // Capacity in bytes.
+            validate(&|f| f.page_bytes = u64::MAX),
+        ];
+        for result in overflows {
+            assert!(
+                matches!(&result, Err(ConduitError::InvalidConfig { reason }) if reason.contains("flash geometry")),
+                "{result:?}"
+            );
+        }
+        // The largest geometry that still fits is accepted.
+        let fits = validate(&|f| {
+            f.channels = u32::MAX;
+            f.dies_per_channel = 1;
+            f.planes_per_die = 1;
+            f.blocks_per_plane = u32::MAX;
+            f.pages_per_block = 1;
+            f.page_bytes = 1;
+        });
+        assert!(fits.is_ok(), "{fits:?}");
     }
 }

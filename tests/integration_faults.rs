@@ -378,8 +378,8 @@ fn corrupted_fault_state_checkpoints_are_rejected_not_panicked() {
 }
 
 /// Configurations whose models cannot simulate anything: a zero geometry,
-/// bank or page count, or a zero, negative, NaN or infinite clock or
-/// bandwidth.
+/// bank, page or compute-core count, a geometry whose totals overflow
+/// `u64`, or a zero, negative, NaN or infinite clock or bandwidth.
 fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
     let edit = |field: &'static str, change: &dyn Fn(&mut SsdConfig)| {
         let mut cfg = SsdConfig::small_for_tests();
@@ -398,6 +398,14 @@ fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
         edit("dram.banks", &|c| c.dram.banks = 0),
         edit("dram.row_bytes", &|c| c.dram.row_bytes = 0),
         edit("ctrl.mve_bytes", &|c| c.ctrl.mve_bytes = 0),
+        edit("ctrl.compute_cores", &|c| c.ctrl.compute_cores = 0),
+        edit("flash geometry", &|c| {
+            c.flash.channels = u32::MAX;
+            c.flash.dies_per_channel = u32::MAX;
+            c.flash.planes_per_die = u32::MAX;
+            c.flash.blocks_per_plane = u32::MAX;
+        }),
+        edit("flash geometry", &|c| c.flash.page_bytes = u64::MAX),
     ];
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         configs.extend([
