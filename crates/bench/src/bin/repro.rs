@@ -13,7 +13,7 @@
 //!
 //! * `--quick` uses the reduced test scale (useful for smoke runs;
 //!   `--smoke` is an alias, used by the CI warm-pool step),
-//! * `--serial` disables the parallel (workload, policy) fan-out (the
+//! * `--serial` runs the (workload, policy) fan-out on one worker (the
 //!   default runs one simulation per CPU core; results are bit-identical),
 //! * `warm-pool` runs a multi-tenant request mix on four **named warm
 //!   devices** (per-device FIFO lanes, parallel across devices) and prints
@@ -37,21 +37,28 @@
 //!   fleet-wide p50/p99/p999, per-shard device/occupancy spread and
 //!   admission-control shed counts (merged rows are bit-identical across
 //!   shard counts),
-//! * `sim-throughput` measures simulator throughput and writes
-//!   `BENCH_sim_throughput.json` next to the current directory,
-//! * `perf-gate` gates on the deterministic **simulated-work counter**
+//! * `ablation` prints Conduit's end-to-end time on heat-3d with each
+//!   cost-function term dropped in turn,
+//! * `perf-baseline` counts the Conduit runs' simulated work and writes
+//!   `BENCH_sim_throughput.json` in the current directory,
+//! * `perf-gate` gates on that deterministic **simulated-work counter**
 //!   (device operations per vector instruction) against the committed
 //!   `BENCH_sim_throughput.json` baseline and **fails (exit 1)** if the
-//!   counter deviates more than `--threshold` (default 15%) in *either*
-//!   direction — more work per instruction is a perf regression, less
-//!   usually means device operations silently stopped being issued. The
-//!   counter is machine-independent, so the gate is immune to CI machine
-//!   variance; wall-clock throughput is printed for information only.
-//!   `--baseline <path>` overrides the baseline.
+//!   counter deviates more than 15% in *either* direction — more work per
+//!   instruction is a perf regression, less usually means device operations
+//!   silently stopped being issued. The counter is machine-independent, so
+//!   the gate is immune to CI machine variance. Wall-clock numbers come from
+//!   `perfbench/`.
 
-use conduit_bench::throughput::{
-    baseline_instructions_per_sec, baseline_ops_per_instruction, baseline_scale, ThroughputReport,
-};
+use conduit_bench::throughput::{baseline_ops_per_instruction, baseline_scale, PerfBaseline};
+
+/// The committed baseline `perf-gate` reads, relative to the current
+/// directory.
+const BASELINE_PATH: &str = "BENCH_sim_throughput.json";
+
+/// How far `perf-gate` lets device ops per instruction move from the
+/// baseline, in either direction.
+const GATE_TOLERANCE: f64 = 0.15;
 
 /// Every target the binary accepts, with a one-line description. The
 /// usage line and the unknown-target listing are both generated from this
@@ -77,15 +84,16 @@ const TARGETS: &[(&str, &str)] = &[
         "fleet-sweep",
         "sharded fleet at fixed load, shard count swept",
     ),
-    ("sim-throughput", "measure simulator throughput baseline"),
+    ("ablation", "cost-function ablation on heat-3d"),
+    ("perf-baseline", "write the device ops/instruction baseline"),
     ("perf-gate", "gate on device ops/instruction vs baseline"),
-    ("all", "every figure and table above"),
+    ("all", "every figure and table from fig4 to headline"),
 ];
 
 fn print_usage() {
     let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <{}> [--quick|--smoke] [--serial] [--baseline <path>] [--threshold <fraction>]",
+        "usage: repro <{}> [--quick|--smoke] [--serial]",
         names.join("|")
     );
 }
@@ -97,46 +105,21 @@ fn print_targets() {
     }
 }
 
-/// The value following a `--flag` option, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn perf_gate(args: &[String], quick: bool) -> ! {
-    let baseline_path =
-        flag_value(args, "--baseline").unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let threshold: f64 = match flag_value(args, "--threshold") {
-        None => 0.15,
-        Some(t) => match t.parse() {
-            Ok(v) if (0.0..1.0).contains(&v) => v,
-            _ => {
-                eprintln!(
-                    "perf-gate: --threshold takes a fraction in [0, 1), e.g. 0.15; got `{t}`"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let baseline_doc = match std::fs::read_to_string(&baseline_path) {
+fn perf_gate(quick: bool) -> ! {
+    let baseline_doc = match std::fs::read_to_string(BASELINE_PATH) {
         Ok(doc) => doc,
         Err(e) => {
-            eprintln!("perf-gate: could not read baseline {baseline_path}: {e}");
+            eprintln!("perf-gate: could not read baseline {BASELINE_PATH}: {e}");
             std::process::exit(2);
         }
     };
     let Some(baseline_ops) = baseline_ops_per_instruction(&baseline_doc) else {
         eprintln!(
-            "perf-gate: {baseline_path} has no ops_per_instruction field; regenerate the \
-             baseline with `repro sim-throughput` (the gate moved from wall-clock throughput \
-             to deterministic simulated-work counters)"
+            "perf-gate: {BASELINE_PATH} has no ops_per_instruction field; regenerate the \
+             baseline with `repro perf-baseline`"
         );
         std::process::exit(2);
     };
-    let baseline_wall = baseline_instructions_per_sec(&baseline_doc);
     // Refuse apples-to-oranges comparisons: the measurement scale must
     // match the baseline's. Documents from before the scale field existed
     // are paper-scale.
@@ -144,35 +127,26 @@ fn perf_gate(args: &[String], quick: bool) -> ! {
     let measured_scale = if quick { "quick" } else { "paper" };
     if baseline_scale != measured_scale {
         eprintln!(
-            "perf-gate: baseline {baseline_path} was measured at {baseline_scale} scale but \
+            "perf-gate: baseline {BASELINE_PATH} was measured at {baseline_scale} scale but \
              this run is {measured_scale} scale; rerun {}",
             if quick {
-                "without --quick (or regenerate the baseline with `repro sim-throughput --quick`)"
+                "without --quick (or regenerate the baseline with `repro perf-baseline --quick`)"
             } else {
-                "with --quick (or regenerate the baseline with `repro sim-throughput`)"
+                "with --quick (or regenerate the baseline with `repro perf-baseline`)"
             }
         );
         std::process::exit(2);
     }
 
-    // Counters only: the gate never reads the sweep timings, so skip the
-    // serial+parallel figure sweeps the figure-smoke CI step already runs.
-    let report = ThroughputReport::measure_counters_only(quick);
+    let report = PerfBaseline::measure(quick);
     print!("{}", report.summary());
-    if let Some(wall) = baseline_wall {
-        // Informational only: wall clock depends on the machine.
-        println!(
-            "perf-gate: wall-clock {:.0} inst/s vs baseline {wall:.0} inst/s (informational)",
-            report.instructions_per_sec
-        );
-    }
     let measured = report.ops_per_instruction;
-    let ceiling = baseline_ops * (1.0 + threshold);
-    let floor = baseline_ops * (1.0 - threshold);
+    let ceiling = baseline_ops * (1.0 + GATE_TOLERANCE);
+    let floor = baseline_ops * (1.0 - GATE_TOLERANCE);
     println!(
         "perf-gate: measured {measured:.4} device ops/instruction vs baseline {baseline_ops:.4} \
          (allowed [{floor:.4}, {ceiling:.4}] at {:.0}% tolerance)",
-        threshold * 100.0
+        GATE_TOLERANCE * 100.0
     );
     if measured > ceiling {
         eprintln!(
@@ -191,7 +165,7 @@ fn perf_gate(args: &[String], quick: bool) -> ! {
         eprintln!(
             "perf-gate: FAIL — the simulator performs {:.1}% less work per instruction than \
              the committed baseline; if intentional, regenerate the baseline with \
-             `repro sim-throughput`",
+             `repro perf-baseline`",
             (1.0 - measured / baseline_ops) * 100.0
         );
         std::process::exit(1);
@@ -212,14 +186,13 @@ fn main() {
         std::process::exit(2);
     };
 
-    if target == "sim-throughput" {
-        let report = ThroughputReport::measure(quick);
+    if target == "perf-baseline" {
+        let report = PerfBaseline::measure(quick);
         print!("{}", report.summary());
-        let path = "BENCH_sim_throughput.json";
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => println!("wrote {path}"),
+        match std::fs::write(BASELINE_PATH, report.to_json()) {
+            Ok(()) => println!("wrote {BASELINE_PATH}"),
             Err(e) => {
-                eprintln!("could not write {path}: {e}");
+                eprintln!("could not write {BASELINE_PATH}: {e}");
                 std::process::exit(1);
             }
         }
@@ -227,10 +200,11 @@ fn main() {
     }
 
     if target == "perf-gate" {
-        perf_gate(&args, quick);
+        perf_gate(quick);
     }
 
-    match conduit_bench::render_target(&target, quick, !serial) {
+    let workers = serial.then_some(1);
+    match conduit_bench::render_target(&target, quick, workers) {
         Some(output) => print!("{output}"),
         None => {
             eprintln!("repro: unknown target `{target}`");

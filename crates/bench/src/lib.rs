@@ -10,7 +10,9 @@
 //! cached, and the `figN`/`tableN` methods format the same rows/series the
 //! paper plots. The `repro` binary
 //! (`cargo run -p conduit-bench --bin repro -- <figure>`) prints them, and
-//! the benches under `benches/` measure the simulator itself (see [`micro`]).
+//! `repro perf-gate` checks the simulator's deterministic work counter (see
+//! [`throughput`]). Wall-clock performance is measured by `perfbench/`, the
+//! repository benchmark, not here.
 //!
 //! Because every figure run uses a **fresh** [`conduit_sim::SsdDevice`],
 //! runs of different (workload, policy) pairs are completely independent;
@@ -31,13 +33,12 @@ pub mod arrivals;
 pub mod faults;
 pub mod fleet;
 pub mod interference;
-pub mod micro;
 pub mod throughput;
 pub mod warm;
 
 use std::collections::HashMap;
 
-use conduit::{gmean, Policy, ProgramId, RunOutcome, RunRequest, Session};
+use conduit::{gmean, CostFunction, Policy, ProgramId, RunOutcome, RunRequest, Session};
 use conduit_types::{ExecutionSite, Resource, SsdConfig};
 use conduit_workloads::{characterize, Scale, Workload};
 
@@ -46,8 +47,6 @@ use conduit_workloads::{characterize, Scale, Workload};
 pub struct Harness {
     cfg: SsdConfig,
     scale: Scale,
-    parallel: bool,
-    workers: Option<usize>,
     session: Session,
     program_ids: HashMap<Workload, ProgramId>,
     cache: HashMap<(Workload, Policy), RunOutcome>,
@@ -66,56 +65,25 @@ impl Harness {
 
     /// Builds a harness with an explicit configuration and scale.
     pub fn new(cfg: SsdConfig, scale: Scale) -> Self {
-        let session = Self::build_session(&cfg, true, None);
+        let session = Session::builder(cfg.clone()).build();
         Harness {
             cfg,
             scale,
-            parallel: true,
-            workers: None,
             session,
             program_ids: HashMap::new(),
             cache: HashMap::new(),
         }
     }
 
-    fn build_session(cfg: &SsdConfig, parallel: bool, workers: Option<usize>) -> Session {
-        let mut builder = Session::builder(cfg.clone());
-        if let Some(w) = workers {
-            builder = builder.workers(w);
-        }
-        if !parallel {
-            builder = builder.serial();
-        }
-        builder.build()
-    }
-
-    /// Rebuilds the session after a concurrency-setting change (intended for
-    /// use right after construction, before anything is cached).
-    fn reconfigure(&mut self) {
-        self.session = Self::build_session(&self.cfg, self.parallel, self.workers);
+    /// Builder-style: sets the worker-thread count used by the fan-out
+    /// (default: one per available CPU core; `1` runs every simulation on
+    /// the calling thread). Rebuilds the session, so call it right after
+    /// construction, before anything is cached.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.session = Session::builder(self.cfg.clone()).workers(workers).build();
         self.program_ids.clear();
         self.cache.clear();
-    }
-
-    /// Builder-style: enables or disables the parallel fan-out (parallel is
-    /// the default; the serial path exists for comparison and testing).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self.reconfigure();
         self
-    }
-
-    /// Builder-style: overrides the worker-thread count used by the fan-out
-    /// (default: one per available CPU core).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self.reconfigure();
-        self
-    }
-
-    /// Whether missing (workload, policy) pairs are simulated in parallel.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The workload scale in use.
@@ -161,7 +129,7 @@ impl Harness {
     }
 
     /// Simulates every not-yet-cached pair in `pairs`, fanning the runs out
-    /// across all CPU cores when parallelism is enabled.
+    /// across the harness's workers.
     ///
     /// Each run executes on a fresh simulated device, so the reports are
     /// **bit-identical** to running the same pairs one at a time; only the
@@ -190,7 +158,7 @@ impl Harness {
     }
 
     /// Simulates all [`Workload::ALL`] × [`Policy::ALL`] pairs (the full
-    /// figure sweep), in parallel when enabled.
+    /// figure sweep).
     pub fn prefetch_all(&mut self) {
         let pairs: Vec<(Workload, Policy)> = Workload::ALL
             .iter()
@@ -218,13 +186,6 @@ impl Harness {
         let cpu = self.report(workload, Policy::HostCpu);
         let other = self.report(workload, policy);
         other.summary.speedup_over(&cpu.summary)
-    }
-
-    /// Energy of `policy` normalized to the host-CPU baseline for `workload`.
-    pub fn energy_ratio(&mut self, workload: Workload, policy: Policy) -> f64 {
-        let cpu = self.report(workload, Policy::HostCpu);
-        let other = self.report(workload, policy);
-        other.summary.energy_vs(&cpu.summary)
     }
 
     // ------------------------------------------------------------------
@@ -581,6 +542,58 @@ impl Harness {
         )
     }
 
+    /// Ablation of Conduit's cost function on heat-3d: its end-to-end time
+    /// with the data-movement, queueing or dependence term dropped, and with
+    /// the `max` combination replaced by a sum.
+    pub fn ablation(&mut self) -> String {
+        let full = CostFunction::conduit();
+        let variants = [
+            ("full", full),
+            (
+                "no_data_movement",
+                CostFunction {
+                    include_data_movement: false,
+                    ..full
+                },
+            ),
+            (
+                "no_queue_delay",
+                CostFunction {
+                    include_queue_delay: false,
+                    ..full
+                },
+            ),
+            (
+                "no_dependence",
+                CostFunction {
+                    include_dependence_delay: false,
+                    ..full
+                },
+            ),
+            (
+                "sum_instead_of_max",
+                CostFunction {
+                    combine_with_max: false,
+                    ..full
+                },
+            ),
+        ];
+        let id = self.ensure_program(Workload::Heat3d);
+        let requests: Vec<RunRequest> = variants
+            .iter()
+            .map(|&(_, cf)| RunRequest::new(id, Policy::Conduit).cost_function(cf))
+            .collect();
+        let outcomes = self
+            .session
+            .submit_batch(&requests)
+            .expect("simulation of a generated workload cannot fail");
+        let mut out = String::from("# Cost-function ablation on heat-3d (lower is better)\n");
+        for ((name, _), outcome) in variants.iter().zip(outcomes) {
+            out.push_str(&format!("{name}\t{}\n", outcome.summary.total_time));
+        }
+        out
+    }
+
     fn speedup_table(&mut self, header: &str, policies: &[Policy]) -> String {
         let pairs: Vec<(Workload, Policy)> = Workload::ALL
             .iter()
@@ -619,10 +632,11 @@ impl Harness {
 
 /// What `repro <target>` prints for a figure or report target: the banner
 /// line of every section followed by its text. `quick` selects the reduced
-/// test scale and `parallel` the harness fan-out (the output is identical
-/// either way). Returns `None` for a target that is neither a figure nor a
-/// report (`sim-throughput` and `perf-gate` measure rather than render).
-pub fn render_target(target: &str, quick: bool, parallel: bool) -> Option<String> {
+/// test scale and `workers` the harness fan-out width (`None`: one worker
+/// per CPU core; the output is identical either way). Returns `None` for a
+/// target that is neither a figure nor a report (`perf-baseline` and
+/// `perf-gate` count simulated work rather than render).
+pub fn render_target(target: &str, quick: bool, workers: Option<usize>) -> Option<String> {
     let banner = |name: &str| format!("==================== {name} ====================\n");
     let report = match target {
         "warm-pool" => Some(warm::warm_pool_report(quick)),
@@ -641,7 +655,9 @@ pub fn render_target(target: &str, quick: bool, parallel: bool) -> Option<String
     } else {
         Harness::paper()
     };
-    harness = harness.with_parallel(parallel);
+    if let Some(workers) = workers {
+        harness = harness.with_workers(workers);
+    }
     let sections: Vec<(&str, String)> = match target {
         "fig4" => vec![("fig4", harness.fig4())],
         "fig5" => vec![("fig5", harness.fig5())],
@@ -654,6 +670,7 @@ pub fn render_target(target: &str, quick: bool, parallel: bool) -> Option<String
         "table3" => vec![("table3", harness.table3())],
         "overheads" => vec![("overheads", harness.overheads())],
         "headline" => vec![("headline", harness.headline())],
+        "ablation" => vec![("ablation", harness.ablation())],
         "all" => {
             // One parallel sweep fills the cache for every figure below.
             harness.prefetch_all();

@@ -691,31 +691,6 @@ pub struct RunOutcome {
     pub artifacts: Option<RunArtifacts>,
 }
 
-impl RunOutcome {
-    /// Converts into the engine-level [`RunReport`] shape (for code
-    /// migrating incrementally onto the session API). The timeline is empty
-    /// unless the run collected artifacts; the device delta is dropped, as
-    /// the engine-level report predates warm devices.
-    pub fn into_run_report(self) -> RunReport {
-        let energy = self.summary.energy_split.unwrap_or(EnergySummary {
-            data_movement: Energy::ZERO,
-            compute: self.summary.total_energy,
-        });
-        RunReport {
-            workload: self.summary.workload,
-            policy: self.summary.policy,
-            instructions: self.summary.instructions,
-            total_time: self.summary.total_time,
-            energy,
-            breakdown: self.summary.breakdown,
-            offload_mix: self.summary.offload_mix,
-            latency: self.summary.latency,
-            timeline: self.artifacts.map(|a| a.timeline).unwrap_or_default(),
-            overhead: self.summary.overhead,
-        }
-    }
-}
-
 /// How a planned run executes: on a pristine device, or on one of the
 /// session's pooled warm devices (by slot index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2334,19 +2309,5 @@ mod tests {
         let revived = other.import_device("unused", &bytes).unwrap();
         assert_eq!(other.device_snapshot(revived), DeviceSnapshot::default());
         assert_eq!(other.device_clock(revived), SimTime::ZERO);
-    }
-
-    #[test]
-    fn outcome_converts_to_run_report() {
-        let mut s = session();
-        let id = s.register(program("report")).unwrap();
-        let outcome = s
-            .submit(&RunRequest::new(id, Policy::Conduit).with_timeline())
-            .unwrap();
-        let summary = outcome.summary.clone();
-        let report = outcome.into_run_report();
-        assert_eq!(report.total_time, summary.total_time);
-        assert_eq!(report.energy.total(), summary.total_energy);
-        assert_eq!(report.timeline.len(), 2);
     }
 }

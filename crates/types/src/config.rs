@@ -23,6 +23,11 @@ fn put_energy(out: &mut Vec<u8>, e: Energy) {
     put_f64(out, e.as_nj());
 }
 
+/// The largest flash block count [`SsdConfig::validate`] accepts: 2^28,
+/// 1024× the paper's device. The flash state allocates one table slot per 64
+/// blocks up front, so this bounds that table at 64 MiB.
+pub const MAX_FLASH_BLOCKS: u64 = 1 << 28;
+
 /// NAND flash subsystem configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
@@ -302,10 +307,12 @@ impl DramConfig {
         self.total_banks() * self.subarrays_per_bank.max(1)
     }
 
-    /// Number of 32-bit elements one bank row holds (the natural PuD
-    /// sub-operation width; 8 KiB rows hold 2048 such elements).
+    /// Number of `elem_bits`-wide elements one bank row holds (the natural
+    /// PuD sub-operation width; 8 KiB rows hold 2048 32-bit elements). At
+    /// least one, and saturating at `u32::MAX` for rows too wide to count.
     pub fn elems_per_row(&self, elem_bits: u32) -> u32 {
-        (self.row_bytes * 8 / elem_bits as u64) as u32
+        let elems = self.row_bytes.saturating_mul(8) / u64::from(elem_bits);
+        u32::try_from(elems).unwrap_or(u32::MAX).max(1)
     }
 
     /// Time to move `bytes` over the DRAM bus.
@@ -393,9 +400,10 @@ impl CtrlConfig {
     }
 
     /// Number of elements processed per MVE micro-op for the given element
-    /// width.
+    /// width (at least one).
     pub fn lanes_per_uop(&self, elem_bits: u32) -> u32 {
-        (self.mve_bytes * 8 / elem_bits).max(1)
+        let lanes = u64::from(self.mve_bytes) * 8 / u64::from(elem_bits);
+        u32::try_from(lanes).unwrap_or(u32::MAX).max(1)
     }
 }
 
@@ -712,8 +720,10 @@ impl SsdConfig {
     /// Checks that the configuration describes a device the models can
     /// simulate: every geometry, bank and page count and the compute-core
     /// count are non-zero, the flash block count, page count and capacity
-    /// fit in a `u64`, and the controller clock and every bandwidth are
-    /// finite and positive.
+    /// fit in a `u64`, every flash index fits a physical page address, the
+    /// block count is at most [`MAX_FLASH_BLOCKS`], the DRAM sub-array unit
+    /// count fits in a `u32`, and the controller clock and every bandwidth
+    /// are finite and positive.
     ///
     /// # Errors
     ///
@@ -765,6 +775,39 @@ impl SsdConfig {
         if capacity.is_none() {
             return Err(ConduitError::invalid_config(
                 "flash geometry overflows u64 (blocks, pages or capacity in bytes)",
+            ));
+        }
+        // A physical page address holds the channel, die and plane index in
+        // a `u8` and the page index in a `u16`; a larger count would alias
+        // distinct pages.
+        let address_limits = [
+            ("flash.channels", f.channels, 1 << 8),
+            ("flash.dies_per_channel", f.dies_per_channel, 1 << 8),
+            ("flash.planes_per_die", f.planes_per_die, 1 << 8),
+            ("flash.pages_per_block", f.pages_per_block, 1 << 16),
+        ];
+        if let Some((field, count, limit)) = address_limits
+            .iter()
+            .find(|(_, count, limit)| count > limit)
+        {
+            return Err(ConduitError::invalid_config(format!(
+                "{field} must be at most {limit} to fit a physical page address, got {count}"
+            )));
+        }
+        let blocks = f.total_planes() * u64::from(f.blocks_per_plane);
+        if blocks > MAX_FLASH_BLOCKS {
+            return Err(ConduitError::invalid_config(format!(
+                "flash geometry has {blocks} blocks, more than the {MAX_FLASH_BLOCKS} supported"
+            )));
+        }
+        let d = &self.dram;
+        let units = [d.ranks, d.banks, d.subarrays_per_bank.max(1)]
+            .into_iter()
+            .try_fold(d.channels, u32::checked_mul);
+        if units.is_none() {
+            return Err(ConduitError::invalid_config(
+                "dram sub-array unit count (channels × ranks × banks × subarrays_per_bank) \
+                 overflows u32",
             ));
         }
         let rates = [
@@ -945,15 +988,35 @@ mod tests {
                 "{result:?}"
             );
         }
-        // The largest geometry that still fits is accepted.
+        // The largest geometry the address and block-count limits allow
+        // is accepted.
         let fits = validate(&|f| {
-            f.channels = u32::MAX;
-            f.dies_per_channel = 1;
-            f.planes_per_die = 1;
-            f.blocks_per_plane = u32::MAX;
-            f.pages_per_block = 1;
-            f.page_bytes = 1;
+            f.channels = 1 << 8;
+            f.dies_per_channel = 1 << 8;
+            f.planes_per_die = 1 << 8;
+            f.blocks_per_plane = (MAX_FLASH_BLOCKS >> 24) as u32;
+            f.pages_per_block = 1 << 16;
+            f.page_bytes = u64::MAX >> 44;
         });
         assert!(fits.is_ok(), "{fits:?}");
+    }
+
+    #[test]
+    fn lane_and_row_widths_saturate_instead_of_overflowing() {
+        let c = CtrlConfig {
+            mve_bytes: u32::MAX,
+            ..CtrlConfig::default()
+        };
+        assert_eq!(c.lanes_per_uop(8), u32::MAX);
+        let d = DramConfig {
+            row_bytes: u64::MAX,
+            ..DramConfig::default()
+        };
+        assert_eq!(d.elems_per_row(32), u32::MAX);
+        let narrow = DramConfig {
+            row_bytes: 1,
+            ..DramConfig::default()
+        };
+        assert_eq!(narrow.elems_per_row(32), 1);
     }
 }

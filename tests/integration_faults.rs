@@ -378,8 +378,10 @@ fn corrupted_fault_state_checkpoints_are_rejected_not_panicked() {
 }
 
 /// Configurations whose models cannot simulate anything: a zero geometry,
-/// bank, page or compute-core count, a geometry whose totals overflow
-/// `u64`, or a zero, negative, NaN or infinite clock or bandwidth.
+/// bank, page or compute-core count, a flash geometry whose totals overflow
+/// `u64`, a flash index too wide for a physical page address, too many
+/// flash blocks, a DRAM sub-array unit count that overflows `u32`, or a
+/// zero, negative, NaN or infinite clock or bandwidth.
 fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
     let edit = |field: &'static str, change: &dyn Fn(&mut SsdConfig)| {
         let mut cfg = SsdConfig::small_for_tests();
@@ -406,6 +408,20 @@ fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
             c.flash.blocks_per_plane = u32::MAX;
         }),
         edit("flash geometry", &|c| c.flash.page_bytes = u64::MAX),
+        edit("flash.channels", &|c| c.flash.channels = 257),
+        edit("flash.dies_per_channel", &|c| {
+            c.flash.dies_per_channel = 257
+        }),
+        edit("flash.planes_per_die", &|c| c.flash.planes_per_die = 257),
+        edit("flash.pages_per_block", &|c| {
+            c.flash.pages_per_block = 65_537
+        }),
+        edit("flash geometry", &|c| c.flash.blocks_per_plane = u32::MAX),
+        edit("dram sub-array unit count", &|c| {
+            c.dram.channels = 65_536;
+            c.dram.ranks = 65_536;
+            c.dram.banks = 1;
+        }),
     ];
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         configs.extend([
@@ -455,4 +471,105 @@ fn invalid_configs_fail_with_the_same_typed_error_at_every_worker_count() {
             );
         }
     }
+}
+
+/// One Conduit run of the writer program under `cfg`: `Ok` if the device
+/// and the run either fail with the same typed error or return finite
+/// results, `Err` describing anything else.
+fn typed_error_or_finite_run(cfg: &SsdConfig) -> Result<(), String> {
+    let device = SsdDevice::new(cfg).map(drop);
+    let mut session = Session::builder(cfg.clone()).serial().build();
+    let writer = session.register(writer_program()).unwrap();
+    let run = session.submit(&RunRequest::new(writer, Policy::Conduit));
+    match (device, run) {
+        (Err(device), Err(run)) if device == run => Ok(()),
+        (Ok(()), Ok(outcome)) => {
+            let s = &outcome.summary;
+            let (c, h, i, f) = s.breakdown.fractions();
+            let finite = s.total_energy.as_nj().is_finite()
+                && s.total_time.as_ps() < u64::MAX
+                && [c, h, i, f].iter().all(|x| x.is_finite());
+            if finite {
+                Ok(())
+            } else {
+                Err(format!(
+                    "non-finite results: {} in {}",
+                    s.total_energy, s.total_time
+                ))
+            }
+        }
+        (device, run) => Err(format!(
+            "device and run disagree: {:?} vs {:?}",
+            device,
+            run.map(|o| o.summary.total_time)
+        )),
+    }
+}
+
+type Field<T> = (&'static str, fn(&mut SsdConfig) -> &mut T);
+
+#[test]
+fn every_validated_field_at_its_extremes_gives_a_typed_error_or_finite_results() {
+    let counts: [Field<u32>; 11] = [
+        ("flash.channels", |c| &mut c.flash.channels),
+        ("flash.dies_per_channel", |c| &mut c.flash.dies_per_channel),
+        ("flash.planes_per_die", |c| &mut c.flash.planes_per_die),
+        ("flash.blocks_per_plane", |c| &mut c.flash.blocks_per_plane),
+        ("flash.pages_per_block", |c| &mut c.flash.pages_per_block),
+        ("dram.channels", |c| &mut c.dram.channels),
+        ("dram.ranks", |c| &mut c.dram.ranks),
+        ("dram.banks", |c| &mut c.dram.banks),
+        ("dram.subarrays_per_bank", |c| {
+            &mut c.dram.subarrays_per_bank
+        }),
+        ("ctrl.mve_bytes", |c| &mut c.ctrl.mve_bytes),
+        ("ctrl.compute_cores", |c| &mut c.ctrl.compute_cores),
+    ];
+    let sizes: [Field<u64>; 2] = [
+        ("flash.page_bytes", |c| &mut c.flash.page_bytes),
+        ("dram.row_bytes", |c| &mut c.dram.row_bytes),
+    ];
+    let rates: [Field<f64>; 4] = [
+        ("ctrl.freq_hz", |c| &mut c.ctrl.freq_hz),
+        ("flash.channel_bytes_per_sec", |c| {
+            &mut c.flash.channel_bytes_per_sec
+        }),
+        ("dram.bus_bytes_per_sec", |c| &mut c.dram.bus_bytes_per_sec),
+        ("link.pcie_bytes_per_sec", |c| {
+            &mut c.link.pcie_bytes_per_sec
+        }),
+    ];
+    let mut cases: Vec<(String, SsdConfig)> = Vec::new();
+    let mut case = |name: String, set: &dyn Fn(&mut SsdConfig)| {
+        let mut cfg = SsdConfig::small_for_tests();
+        set(&mut cfg);
+        cases.push((name, cfg));
+    };
+    for (field, get) in counts {
+        for value in [0, u32::MAX] {
+            case(format!("{field} = {value}"), &|c| *get(c) = value);
+        }
+    }
+    for (field, get) in sizes {
+        for value in [0, u64::MAX] {
+            case(format!("{field} = {value}"), &|c| *get(c) = value);
+        }
+    }
+    for (field, get) in rates {
+        for value in [0.0, f64::MAX, f64::NAN, f64::INFINITY] {
+            case(format!("{field} = {value}"), &|c| *get(c) = value);
+        }
+    }
+
+    let failures: Vec<String> = cases
+        .iter()
+        .filter_map(|(name, cfg)| {
+            match std::panic::catch_unwind(|| typed_error_or_finite_run(cfg)) {
+                Ok(Ok(())) => None,
+                Ok(Err(why)) => Some(format!("{name}: {why}")),
+                Err(_) => Some(format!("{name}: panicked")),
+            }
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

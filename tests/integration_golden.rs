@@ -1,4 +1,5 @@
-//! Output goldens: the quick-scale figure sweep and the five report smokes,
+//! Output goldens: the quick-scale figure sweep, the cost-function ablation
+//! and the five report smokes,
 //! rebuilt through the `conduit-bench` library and diffed byte-for-byte
 //! against the files committed under `tests/golden/`. Each golden is exactly
 //! what `repro <target> --quick` prints, so a change in any simulated number
@@ -16,7 +17,7 @@ use std::path::PathBuf;
 use conduit_bench::render_target;
 
 fn check_golden(target: &str, file: &str) {
-    let output = render_target(target, true, true).expect("a figure or report target");
+    let output = render_target(target, true, None).expect("a figure or report target");
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(file);
@@ -51,6 +52,11 @@ fn check_golden(target: &str, file: &str) {
 #[test]
 fn figure_sweep_matches_golden() {
     check_golden("all", "repro_all_quick.txt");
+}
+
+#[test]
+fn ablation_matches_golden() {
+    check_golden("ablation", "ablation_quick.txt");
 }
 
 #[test]
