@@ -43,5 +43,5 @@ mod timing;
 
 pub use geometry::FlashGeometry;
 pub use ifp::{IfpCost, IfpModel, IfpPlacement};
-pub use state::{BlockInfo, FlashState, PageState};
+pub use state::{BlockInfo, FlashLayout, FlashState, PageState};
 pub use timing::FlashTiming;

@@ -49,6 +49,18 @@ fn decode_page(code: u8) -> PageState {
     }
 }
 
+/// How a checkpoint stores the flash array: the layout
+/// [`FlashState::decode_from`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlashLayout {
+    /// Every block in index order, each with all `pages_per_block` page
+    /// states packed. Read-only: only legacy checkpoints carry it.
+    Dense,
+    /// Touched blocks only, keyed by index, each with the page states below
+    /// its write pointer ([`FlashState::encode_sparse_into`]).
+    Sparse,
+}
+
 /// Blocks per lazily allocated chunk of block records.
 const CHUNK_BLOCKS: usize = 64;
 
@@ -406,56 +418,50 @@ impl FlashState {
         best.map(|(b, _)| b)
     }
 
-    /// Appends this array's mutable state (per-block erase counts, bad
-    /// flags, write pointers and 2-bit page states) to `out` in the compact
-    /// little-endian checkpoint layout. The geometry is *not* stored — it is
-    /// a pure function of the [`FlashConfig`] the decoder is given.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.total_blocks);
-        for b in 0..self.total_blocks {
-            Self::encode_record(self.record(b), self.pages_per_block as usize, out);
-        }
-    }
-
     /// Appends one block's erase count, bad flag and write pointer, then its
-    /// first `pages` page states packed four to a byte (Free=0, Valid=1,
-    /// Invalid=2); pages at or beyond the write pointer are Free.
-    fn encode_record(rec: &BlockRecord, pages: usize, out: &mut Vec<u8>) {
+    /// page states below the write pointer packed four to a byte (Free=0,
+    /// Valid=1, Invalid=2).
+    fn encode_record(rec: &BlockRecord, out: &mut Vec<u8>) {
         put_u64(out, rec.erase_count);
         out.push(u8::from(rec.bad));
         put_u32(out, rec.write_pointer());
         let start = out.len();
-        out.resize(start + pages.div_ceil(4), 0);
+        out.resize(start + rec.codes.len().div_ceil(4), 0);
         for (i, &code) in rec.codes.iter().enumerate() {
             out[start + i / 4] |= code << (2 * (i % 4));
         }
     }
 
-    /// Appends a **delta-against-pristine** image of the array: only
-    /// touched blocks (programmed, erased or retired at least once) are
-    /// stored, keyed by block index, and within each block only the first
-    /// `write_pointer` page states are packed — pages at or beyond the
-    /// write pointer are `Free` by the sequential-programming invariant. A
-    /// cold device therefore encodes to a handful of bytes regardless of
-    /// array size, while a fully-written device costs the same as the dense
-    /// [`FlashState::encode_into`] layout plus one index per block.
+    /// Appends a **delta-against-pristine** image of the array
+    /// ([`FlashLayout::Sparse`]): only touched blocks (programmed, erased or
+    /// retired at least once) are stored, keyed by block index, and within
+    /// each block only the first `write_pointer` page states are packed —
+    /// pages at or beyond the write pointer are `Free` by the
+    /// sequential-programming invariant. A cold device therefore encodes to
+    /// a handful of bytes regardless of array size. The geometry is *not*
+    /// stored — it is a pure function of the [`FlashConfig`] the decoder is
+    /// given.
     pub fn encode_sparse_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.total_blocks);
         put_u64(out, self.touched().count() as u64);
         for (b, rec) in self.touched() {
             put_u64(out, b);
-            Self::encode_record(rec, rec.codes.len(), out);
+            Self::encode_record(rec, out);
         }
     }
 
     /// Reads one block's erase count, bad flag, write pointer and packed
     /// page codes. The dense layout stores all `pages_per_block` codes,
-    /// and those at or beyond the write pointer must be `Free`; the sparse
-    /// layout stores only the codes below the write pointer.
+    /// and those at or beyond the write pointer must be `Free` (flash
+    /// programs sequentially, so such a state is impossible on a real
+    /// device — and the sparse layout relies on the invariant to omit
+    /// those pages, so accepting it would silently drop the page on the
+    /// next re-export); the sparse layout stores only the codes below the
+    /// write pointer.
     fn decode_record(
         r: &mut Reader<'_>,
         pages_per_block: usize,
-        dense: bool,
+        layout: FlashLayout,
     ) -> Result<BlockRecord> {
         let erase_count = r.counter()?;
         let bad = match r.u8()? {
@@ -473,7 +479,10 @@ impl FlashState {
                 "write pointer beyond block size",
             ));
         }
-        let stored = if dense { pages_per_block } else { written };
+        let stored = match layout {
+            FlashLayout::Dense => pages_per_block,
+            FlashLayout::Sparse => written,
+        };
         let packed = r.take(stored.div_ceil(4))?;
         let mut codes = Vec::with_capacity(if written > 0 { pages_per_block } else { 0 });
         for i in 0..stored {
@@ -524,17 +533,18 @@ impl FlashState {
         self.erased_blocks = erased_blocks;
     }
 
-    /// Decodes a state serialized by [`FlashState::encode_sparse_into`] for
-    /// the given configuration. Blocks absent from the stream restore as
-    /// pristine.
+    /// Decodes a flash image stored in `layout` for the given
+    /// configuration. Blocks a sparse image omits, and dense records that
+    /// carry no information, restore as pristine.
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] on truncation, an
     /// unknown page-state code, a block count that does not match the
-    /// geometry, out-of-range or non-increasing block indices, or a write
-    /// pointer beyond the block size.
-    pub fn decode_sparse_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
+    /// geometry `cfg` describes, a write pointer beyond the block size, a
+    /// non-`Free` page at or beyond a block's write pointer, or (sparse
+    /// layout) out-of-range or non-increasing block indices.
+    pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>, layout: FlashLayout) -> Result<Self> {
         let mut state = FlashState::new(cfg);
         let total = r.u64()?;
         if total != state.total_blocks {
@@ -543,59 +553,39 @@ impl FlashState {
                 state.total_blocks
             )));
         }
-        let touched = r.u64()?;
-        if touched > total {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "flash checkpoint stores {touched} touched blocks of only {total}"
-            )));
-        }
         let pages_per_block = cfg.pages_per_block as usize;
-        let mut prev_index: Option<u64> = None;
-        for _ in 0..touched {
-            let index = r.u64()?;
-            if index >= total {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "touched block index {index} outside the {total}-block array"
-                )));
+        match layout {
+            FlashLayout::Dense => {
+                for b in 0..total {
+                    let rec = Self::decode_record(r, pages_per_block, layout)?;
+                    if !rec.is_pristine() {
+                        *state.record_mut(b) = rec;
+                    }
+                }
             }
-            if prev_index.is_some_and(|prev| index <= prev) {
-                return Err(ConduitError::corrupt_checkpoint(
-                    "touched block indices must be strictly increasing",
-                ));
-            }
-            prev_index = Some(index);
-            *state.record_mut(index) = Self::decode_record(r, pages_per_block, false)?;
-        }
-        state.rebuild_aggregates();
-        Ok(state)
-    }
-
-    /// Decodes a state serialized by [`FlashState::encode_into`] for the
-    /// given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] on truncation, an unknown
-    /// page-state code, a block count that does not match the geometry
-    /// `cfg` describes, or a non-`Free` page at or beyond a block's write
-    /// pointer (flash programs sequentially, so such a state is impossible
-    /// on a real device — and the sparse encoding relies on the invariant
-    /// to omit those pages, so accepting it here would silently drop the
-    /// page on the next re-export).
-    pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut state = FlashState::new(cfg);
-        let count = r.u64()?;
-        if count != state.total_blocks {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "flash checkpoint has {count} blocks but the configuration describes {}",
-                state.total_blocks
-            )));
-        }
-        let pages_per_block = cfg.pages_per_block as usize;
-        for b in 0..count {
-            let rec = Self::decode_record(r, pages_per_block, true)?;
-            if !rec.is_pristine() {
-                *state.record_mut(b) = rec;
+            FlashLayout::Sparse => {
+                let touched = r.u64()?;
+                if touched > total {
+                    return Err(ConduitError::corrupt_checkpoint(format!(
+                        "flash checkpoint stores {touched} touched blocks of only {total}"
+                    )));
+                }
+                let mut prev_index: Option<u64> = None;
+                for _ in 0..touched {
+                    let index = r.u64()?;
+                    if index >= total {
+                        return Err(ConduitError::corrupt_checkpoint(format!(
+                            "touched block index {index} outside the {total}-block array"
+                        )));
+                    }
+                    if prev_index.is_some_and(|prev| index <= prev) {
+                        return Err(ConduitError::corrupt_checkpoint(
+                            "touched block indices must be strictly increasing",
+                        ));
+                    }
+                    prev_index = Some(index);
+                    *state.record_mut(index) = Self::decode_record(r, pages_per_block, layout)?;
+                }
             }
         }
         state.rebuild_aggregates();
@@ -777,45 +767,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_an_aged_array() {
-        let cfg = SsdConfig::small_for_tests().flash;
-        let mut s = FlashState::new(&cfg);
-        let a0 = s.geometry().addr_of(0);
-        let a1 = s.geometry().addr_of(1);
-        s.program(a0).unwrap();
-        s.program(a1).unwrap();
-        s.invalidate(a0).unwrap();
-        s.erase_block(s.geometry().total_blocks() - 1).unwrap();
-        s.mark_bad(s.geometry().total_blocks() - 2);
-
-        let mut buf = Vec::new();
-        s.encode_into(&mut buf);
-        let mut r = Reader::new(&buf);
-        let back = FlashState::decode_from(&cfg, &mut r).unwrap();
-        assert!(r.finished());
-        assert_eq!(back, s);
-
-        // A mismatched geometry is rejected rather than silently truncated.
-        let mut small = cfg.clone();
-        small.blocks_per_plane /= 2;
-        assert!(FlashState::decode_from(&small, &mut Reader::new(&buf)).is_err());
-        // Truncation is rejected.
-        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&buf[..buf.len() - 1])).is_err());
-    }
-
-    #[test]
     fn dense_decode_rejects_programmed_pages_beyond_the_write_pointer() {
         let cfg = SsdConfig::small_for_tests().flash;
         let s = FlashState::new(&cfg);
-        let mut buf = Vec::new();
-        s.encode_into(&mut buf);
         // Dense layout: u64 block count, then per block
-        // [u64 erases][u8 bad][u32 write_pointer][packed pages]. Mark block
-        // 0's first page Valid while its write pointer stays 0 — a state a
-        // sequentially-programmed device can never reach. Accepting it
-        // would silently drop the page on the next sparse re-export.
+        // [u64 erases][u8 bad][u32 write_pointer][packed pages]. A pristine
+        // array is all zeros after the block count.
+        let record = 8 + 1 + 4 + (cfg.pages_per_block as usize).div_ceil(4);
+        let mut buf = s.total_blocks().to_le_bytes().to_vec();
+        buf.resize(8 + s.total_blocks() as usize * record, 0);
+        assert_eq!(
+            FlashState::decode_from(&cfg, &mut Reader::new(&buf), FlashLayout::Dense).unwrap(),
+            s
+        );
+        // Mark block 0's first page Valid while its write pointer stays 0 —
+        // a state a sequentially-programmed device can never reach.
+        // Accepting it would silently drop the page on the next sparse
+        // re-export.
         buf[8 + 8 + 1 + 4] = 0b01;
-        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&buf)).is_err());
+        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&buf), FlashLayout::Dense).is_err());
     }
 
     #[test]
@@ -826,7 +796,8 @@ mod tests {
         let mut cold = Vec::new();
         s.encode_sparse_into(&mut cold);
         assert_eq!(cold.len(), 16, "a cold array stores no blocks");
-        let back = FlashState::decode_sparse_from(&cfg, &mut Reader::new(&cold)).unwrap();
+        let back =
+            FlashState::decode_from(&cfg, &mut Reader::new(&cold), FlashLayout::Sparse).unwrap();
         assert_eq!(back, s);
 
         // Touch a handful of blocks; everything round-trips and the sparse
@@ -841,16 +812,15 @@ mod tests {
 
         let mut sparse = Vec::new();
         s.encode_sparse_into(&mut sparse);
-        let mut dense = Vec::new();
-        s.encode_into(&mut dense);
+        let dense_len = 8 + s.total_blocks() as usize
+            * (8 + 1 + 4 + (cfg.pages_per_block as usize).div_ceil(4));
         assert!(
-            sparse.len() * 4 < dense.len(),
-            "sparse image ({} B) should be far below dense ({} B) on a mostly-cold array",
+            sparse.len() * 4 < dense_len,
+            "sparse image ({} B) should be far below dense ({dense_len} B) on a mostly-cold array",
             sparse.len(),
-            dense.len()
         );
         let mut r = Reader::new(&sparse);
-        let back = FlashState::decode_sparse_from(&cfg, &mut r).unwrap();
+        let back = FlashState::decode_from(&cfg, &mut r, FlashLayout::Sparse).unwrap();
         assert!(r.finished());
         assert_eq!(back, s);
         // Re-encoding the decoded state is deterministic.
@@ -860,18 +830,17 @@ mod tests {
 
         // Corruption is rejected: truncation, geometry mismatch, an
         // out-of-range block index, and unsorted indices.
-        assert!(FlashState::decode_sparse_from(
-            &cfg,
-            &mut Reader::new(&sparse[..sparse.len() - 1])
-        )
-        .is_err());
+        let sparse_decode = |cfg: &FlashConfig, bytes: &[u8]| {
+            FlashState::decode_from(cfg, &mut Reader::new(bytes), FlashLayout::Sparse)
+        };
+        assert!(sparse_decode(&cfg, &sparse[..sparse.len() - 1]).is_err());
         let mut small = cfg.clone();
         small.blocks_per_plane /= 2;
-        assert!(FlashState::decode_sparse_from(&small, &mut Reader::new(&sparse)).is_err());
+        assert!(sparse_decode(&small, &sparse).is_err());
         let mut bad_index = sparse.clone();
         // First touched-block index sits right after the two u64 headers.
         bad_index[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(FlashState::decode_sparse_from(&cfg, &mut Reader::new(&bad_index)).is_err());
+        assert!(sparse_decode(&cfg, &bad_index).is_err());
     }
 
     #[test]
@@ -1037,20 +1006,17 @@ mod tests {
         assert_eq!(s.page_totals(), model.page_totals());
         assert_eq!(s.most_invalid_block(), model.most_invalid_block());
         assert_eq!(s.wear_stats(), model.wear_stats());
-        let mut dense = Vec::new();
-        s.encode_into(&mut dense);
-        assert_eq!(dense, model.encode_dense());
         let mut sparse = Vec::new();
         s.encode_sparse_into(&mut sparse);
         assert_eq!(sparse, model.encode_sparse());
-        assert_eq!(
-            &FlashState::decode_from(cfg, &mut Reader::new(&dense)).unwrap(),
-            s
-        );
-        assert_eq!(
-            &FlashState::decode_sparse_from(cfg, &mut Reader::new(&sparse)).unwrap(),
-            s
-        );
+        for (bytes, layout) in [
+            (model.encode_dense(), FlashLayout::Dense),
+            (sparse, FlashLayout::Sparse),
+        ] {
+            let mut r = Reader::new(&bytes);
+            assert_eq!(&FlashState::decode_from(cfg, &mut r, layout).unwrap(), s);
+            assert!(r.finished());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use conduit_flash::FlashState;
+use conduit_flash::{FlashLayout, FlashState};
 use conduit_types::bytes::{put_u64, Reader};
 use conduit_types::{
     ConduitError, DeviceHealth, FaultConfig, FaultPlan, LogicalPageId, PhysicalPageAddr, Result,
@@ -55,6 +55,18 @@ pub struct FaultStats {
     pub die_failures: u64,
     /// Valid pages relocated off retired blocks (remap-on-failure work).
     pub remapped_pages: u64,
+}
+
+/// How a checkpoint lays out an FTL image: the layout [`Ftl::decode_from`]
+/// reads. [`Ftl::encode_delta_into`] writes a sparse flash image with the
+/// fault tail; the other combinations are read-only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FtlLayout {
+    /// How the flash array is stored.
+    pub flash: FlashLayout,
+    /// Whether the image ends with the fault-injection state. Without it the
+    /// FTL restores with an inert fault plan and a healthy device.
+    pub fault_tail: bool,
 }
 
 /// The flash translation layer.
@@ -561,32 +573,18 @@ impl Ftl {
         best.map(|(block, _)| block)
     }
 
-    /// Appends the FTL's complete mutable state — flash array, L2P table,
-    /// allocator cursors, coherence directory, GC/wear counters and activity
-    /// stats — to `out` in the compact checkpoint layout. The encoding is
-    /// deterministic (map entries are sorted), so identical FTL states
-    /// always produce identical bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.state.encode_into(out);
-        self.encode_tail_into(out);
-        self.encode_fault_tail_into(out);
-    }
-
-    /// Like [`Ftl::encode_into`], but the flash array uses the
-    /// **delta-against-pristine** layout
-    /// ([`FlashState::encode_sparse_into`]): never-written blocks are
-    /// skipped, so a cold device's FTL image stays small. Decode with
-    /// [`Ftl::decode_delta_from`].
+    /// Appends the FTL's complete mutable state to `out`: the flash array as
+    /// a **delta-against-pristine** image
+    /// ([`FlashState::encode_sparse_into`]: never-written blocks are
+    /// skipped, so a cold device's FTL image stays small), then the L2P
+    /// table, allocator cursors, coherence directory, GC/wear counters,
+    /// activity stats and the fault-injection state (configuration, plan
+    /// cursor, health, retired-block count and fault counters). The
+    /// encoding is deterministic (map entries are sorted), so identical FTL
+    /// states always produce identical bytes. Decode with
+    /// [`Ftl::decode_from`] and a sparse [`FtlLayout`] with the fault tail.
     pub fn encode_delta_into(&self, out: &mut Vec<u8>) {
         self.state.encode_sparse_into(out);
-        self.encode_tail_into(out);
-        self.encode_fault_tail_into(out);
-    }
-
-    /// Everything after the flash image, shared by both layouts: L2P table,
-    /// allocator cursors, coherence directory, GC/wear counters and
-    /// activity stats.
-    fn encode_tail_into(&self, out: &mut Vec<u8>) {
         self.l2p.encode_into(out);
         self.alloc.encode_into(out);
         self.coherence.encode_into(out);
@@ -597,12 +595,6 @@ impl Ftl {
         put_u64(out, self.stats.gc_relocations);
         put_u64(out, self.stats.gc_erases);
         put_u64(out, self.stats.wear_relocations);
-    }
-
-    /// The fault-injection state appended by the current (version-3)
-    /// layouts: configuration, plan cursor, health, retired-block count and
-    /// fault counters. Legacy (v1/v2) streams omit it and restore inert.
-    fn encode_fault_tail_into(&self, out: &mut Vec<u8>) {
         self.faults.encode_into(out);
         put_u64(out, self.plan.draws());
         out.push(self.health.encode());
@@ -614,76 +606,32 @@ impl Ftl {
         put_u64(out, self.fault_stats.remapped_pages);
     }
 
-    /// Decodes the fault tail written by
-    /// [`Ftl::encode_fault_tail_into`] into `self`.
-    fn decode_fault_tail_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.faults = FaultConfig::decode_from(r)?;
-        self.plan = FaultPlan::restore(self.faults.seed, r.counter()?);
-        self.health = DeviceHealth::decode(r.u8()?)?;
-        self.retired_blocks = r.counter()?;
-        self.fault_stats.program_failures = r.counter()?;
-        self.fault_stats.erase_failures = r.counter()?;
-        self.fault_stats.read_retries = r.counter()?;
-        self.fault_stats.die_failures = r.counter()?;
-        self.fault_stats.remapped_pages = r.counter()?;
-        Ok(())
-    }
-
-    /// Decodes an FTL serialized by [`Ftl::encode_into`] for the given
-    /// configuration. Derived structures (the reverse physical→logical map,
-    /// cache capacity, GC/wear thresholds) are rebuilt from `cfg` and the
-    /// decoded mapping rather than stored.
+    /// Decodes an FTL image stored in `layout` for the given configuration.
+    /// Derived structures (the reverse physical→logical map, cache
+    /// capacity, GC/wear thresholds) are rebuilt from `cfg` and the decoded
+    /// mapping rather than stored. An image without the fault tail restores
+    /// with an inert fault plan and a healthy device.
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] for truncated bytes, a
     /// geometry mismatch, or a mapping that points outside the flash array.
-    pub fn decode_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
+    pub fn decode_from(cfg: &SsdConfig, r: &mut Reader<'_>, layout: FtlLayout) -> Result<Self> {
         let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_from(&cfg.flash, r)?;
+        ftl.state = FlashState::decode_from(&cfg.flash, r, layout.flash)?;
         let mut ftl = ftl.decode_tail_from(r)?;
-        ftl.decode_fault_tail_from(r)?;
+        if layout.fault_tail {
+            ftl.faults = FaultConfig::decode_from(r)?;
+            ftl.plan = FaultPlan::restore(ftl.faults.seed, r.counter()?);
+            ftl.health = DeviceHealth::decode(r.u8()?)?;
+            ftl.retired_blocks = r.counter()?;
+            ftl.fault_stats.program_failures = r.counter()?;
+            ftl.fault_stats.erase_failures = r.counter()?;
+            ftl.fault_stats.read_retries = r.counter()?;
+            ftl.fault_stats.die_failures = r.counter()?;
+            ftl.fault_stats.remapped_pages = r.counter()?;
+        }
         Ok(ftl)
-    }
-
-    /// Decodes a **legacy** dense FTL image that predates the fault tail
-    /// (device-state checkpoints of format version 1). Fault state restores
-    /// inert and healthy.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_legacy_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_from(&cfg.flash, r)?;
-        ftl.decode_tail_from(r)
-    }
-
-    /// Decodes an FTL serialized by [`Ftl::encode_delta_into`] (sparse
-    /// flash image) for the given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_delta_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_sparse_from(&cfg.flash, r)?;
-        let mut ftl = ftl.decode_tail_from(r)?;
-        ftl.decode_fault_tail_from(r)?;
-        Ok(ftl)
-    }
-
-    /// Decodes a **legacy** sparse FTL image that predates the fault tail
-    /// (device-state checkpoints of format version 2). Fault state restores
-    /// inert and healthy.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_delta_legacy_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_sparse_from(&cfg.flash, r)?;
-        ftl.decode_tail_from(r)
     }
 
     /// Decodes everything after the flash image and rebuilds the derived
@@ -783,6 +731,26 @@ mod tests {
 
     fn pages(range: std::ops::Range<u64>) -> Vec<LogicalPageId> {
         range.map(LogicalPageId::new).collect()
+    }
+
+    /// The layout [`Ftl::encode_delta_into`] writes.
+    const WRITTEN: FtlLayout = FtlLayout {
+        flash: FlashLayout::Sparse,
+        fault_tail: true,
+    };
+
+    fn encode(f: &Ftl) -> Vec<u8> {
+        let mut buf = Vec::new();
+        f.encode_delta_into(&mut buf);
+        buf
+    }
+
+    /// Decodes a written image, requiring every byte to be consumed.
+    fn decode(cfg: &SsdConfig, bytes: &[u8]) -> Result<Ftl> {
+        let mut r = Reader::new(bytes);
+        let ftl = Ftl::decode_from(cfg, &mut r, WRITTEN)?;
+        assert!(r.finished());
+        Ok(ftl)
     }
 
     #[test]
@@ -963,23 +931,18 @@ mod tests {
         }
         assert!(f.stats().gc_erases > 0, "the stream must have aged the FTL");
 
-        let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        let mut r = conduit_types::bytes::Reader::new(&buf);
-        let back = Ftl::decode_from(&cfg, &mut r).unwrap();
-        assert!(r.finished());
+        let buf = encode(&f);
+        let back = decode(&cfg, &buf).unwrap();
         assert_eq!(back, f);
 
         // The encoding is deterministic: re-encoding the decoded FTL gives
         // byte-identical output.
-        let mut buf2 = Vec::new();
-        back.encode_into(&mut buf2);
-        assert_eq!(buf, buf2);
+        assert_eq!(encode(&back), buf);
 
         // Corruption is rejected.
-        assert!(Ftl::decode_from(&cfg, &mut conduit_types::bytes::Reader::new(&buf[..7])).is_err());
+        assert!(decode(&cfg, &buf[..7]).is_err());
         let other = SsdConfig::small_for_tests();
-        assert!(Ftl::decode_from(&other, &mut conduit_types::bytes::Reader::new(&buf)).is_err());
+        assert!(decode(&other, &buf).is_err());
     }
 
     #[test]
@@ -996,14 +959,13 @@ mod tests {
         for _ in 0..20 {
             f.rewrite(LogicalPageId::new(5)).unwrap();
         }
-        let mut buf = Vec::new();
-        f.encode_into(&mut buf);
+        let buf = encode(&f);
         for offset in (0..buf.len()).step_by(8) {
             let mut corrupt = buf.clone();
             for byte in corrupt.iter_mut().skip(offset).take(8) {
                 *byte = 0xFF;
             }
-            let decoded = Ftl::decode_from(&cfg, &mut conduit_types::bytes::Reader::new(&corrupt));
+            let decoded = Ftl::decode_from(&cfg, &mut Reader::new(&corrupt), WRITTEN);
             if let Ok(mut back) = decoded {
                 // Whatever decoded must be safe to drive; errors are fine,
                 // panics are not.
@@ -1193,11 +1155,7 @@ mod tests {
         f.roll_read_retries(addr);
         assert!(f.fault_stats().program_failures > 0);
 
-        let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        let mut r = conduit_types::bytes::Reader::new(&buf);
-        let mut back = Ftl::decode_from(&cfg, &mut r).unwrap();
-        assert!(r.finished());
+        let mut back = decode(&cfg, &encode(&f)).unwrap();
         assert_eq!(back, f);
         // The restored plan continues the exact random stream: the next
         // rewrites fail (or not) identically on both copies.

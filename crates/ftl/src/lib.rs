@@ -48,7 +48,7 @@ mod wear;
 
 pub use alloc::PageAllocator;
 pub use coherence::{CoherenceDirectory, CoherenceState, SyncAction};
-pub use ftl::{FaultStats, Ftl, FtlStats};
+pub use ftl::{FaultStats, Ftl, FtlLayout, FtlStats};
 pub use gc::{GarbageCollector, GcWork};
 pub use l2p::{L2pTable, LookupKind};
 pub use wear::{WearLeveler, WearReport};

@@ -14,6 +14,19 @@
 use conduit_types::bytes::{put_u64, Reader};
 use conduit_types::{ConduitError, Duration, Result, SimTime};
 
+/// How a checkpoint stores contention timelines: the layout
+/// [`SharedResource::decode_from`] and [`ResourcePool::decode_from`] read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimelineLayout {
+    /// Every timeline as a busy-until/total-busy/completed triple, and every
+    /// pool unit behind a unit count. Read-only: only legacy checkpoints
+    /// carry it.
+    Dense,
+    /// Untouched timelines are skipped ([`SharedResource::encode_sparse_into`],
+    /// [`ResourcePool::encode_sparse_into`]).
+    Sparse,
+}
+
 /// A single contended unit with a busy-until timeline.
 ///
 /// # Examples
@@ -22,15 +35,14 @@ use conduit_types::{ConduitError, Duration, Result, SimTime};
 /// use conduit_sim::SharedResource;
 /// use conduit_types::{Duration, SimTime};
 ///
-/// let mut ch = SharedResource::new("flash-channel-0");
+/// let mut ch = SharedResource::new();
 /// let (s1, e1) = ch.reserve(SimTime::ZERO, Duration::from_us(3.0));
 /// let (s2, _e2) = ch.reserve(SimTime::ZERO, Duration::from_us(3.0));
 /// assert_eq!(s1, SimTime::ZERO);
 /// assert_eq!(s2, e1); // second request queues behind the first
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedResource {
-    name: String,
     busy_until: SimTime,
     total_busy: Duration,
     completed: u64,
@@ -38,18 +50,8 @@ pub struct SharedResource {
 
 impl SharedResource {
     /// Creates an idle resource.
-    pub fn new(name: impl Into<String>) -> Self {
-        SharedResource {
-            name: name.into(),
-            busy_until: SimTime::ZERO,
-            total_busy: Duration::ZERO,
-            completed: 0,
-        }
-    }
-
-    /// The resource's name (for reports and debugging).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Self {
+        SharedResource::default()
     }
 
     /// Reserves the resource for `service` time, starting no earlier than
@@ -84,59 +86,57 @@ impl SharedResource {
         self.completed
     }
 
-    /// Appends the timeline's state (busy-until, total busy time, completed
-    /// count) to `out`; the name is configuration-derived and not stored.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Appends the timeline's busy-until, total busy time and completed
+    /// count to `out`.
+    fn encode_triple_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.busy_until.as_ps());
         put_u64(out, self.total_busy.as_ps());
         put_u64(out, self.completed);
     }
 
-    /// Restores the timeline state serialized by
-    /// [`SharedResource::encode_into`], keeping this resource's name.
-    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.busy_until = SimTime::from_ps(r.counter()?);
-        self.total_busy = Duration::from_ps(r.counter()?);
-        self.completed = r.counter()?;
-        Ok(())
+    /// Reads the triple written by [`SharedResource::encode_triple_into`].
+    fn decode_triple(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(SharedResource {
+            busy_until: SimTime::from_ps(r.counter()?),
+            total_busy: Duration::from_ps(r.counter()?),
+            completed: r.counter()?,
+        })
     }
 
     /// Whether the timeline carries no state worth serializing (never
     /// reserved and back at time zero).
-    pub(crate) fn is_untouched(&self) -> bool {
-        self.busy_until == SimTime::ZERO && self.total_busy.is_zero() && self.completed == 0
+    fn is_untouched(&self) -> bool {
+        *self == SharedResource::default()
     }
 
-    /// Resets the timeline to the idle state, keeping the name.
-    fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.total_busy = Duration::ZERO;
-        self.completed = 0;
-    }
-
-    /// Sparse variant of [`SharedResource::encode_into`]: an untouched
-    /// timeline costs a single flag byte instead of 24 zero bytes.
+    /// Appends the timeline to `out`: a single zero flag byte when it is
+    /// untouched, otherwise a one flag byte and the busy-until/total-busy/
+    /// completed triple.
     pub(crate) fn encode_sparse_into(&self, out: &mut Vec<u8>) {
         if self.is_untouched() {
             out.push(0);
         } else {
             out.push(1);
-            self.encode_into(out);
+            self.encode_triple_into(out);
         }
     }
 
-    /// Restores the state serialized by
-    /// [`SharedResource::encode_sparse_into`].
-    pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        match r.u8()? {
-            0 => {
-                self.reset();
-                Ok(())
-            }
-            1 => self.restore_from(r),
-            flag => Err(ConduitError::corrupt_checkpoint(format!(
-                "resource timeline flag must be 0 or 1, found {flag}"
-            ))),
+    /// Decodes a timeline stored in `layout`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConduitError::CorruptCheckpoint`] on truncation or a sparse
+    /// flag byte other than 0 or 1.
+    pub(crate) fn decode_from(r: &mut Reader<'_>, layout: TimelineLayout) -> Result<Self> {
+        match layout {
+            TimelineLayout::Dense => Self::decode_triple(r),
+            TimelineLayout::Sparse => match r.u8()? {
+                0 => Ok(SharedResource::default()),
+                1 => Self::decode_triple(r),
+                flag => Err(ConduitError::corrupt_checkpoint(format!(
+                    "resource timeline flag must be 0 or 1, found {flag}"
+                ))),
+            },
         }
     }
 
@@ -161,7 +161,7 @@ impl SharedResource {
 /// use conduit_sim::ResourcePool;
 /// use conduit_types::{Duration, SimTime};
 ///
-/// let mut dies = ResourcePool::new("die", 2);
+/// let mut dies = ResourcePool::new(2);
 /// // Two requests run in parallel on different units, the third queues.
 /// let (_, e1, _) = dies.reserve(SimTime::ZERO, Duration::from_us(10.0));
 /// let (_, e2, _) = dies.reserve(SimTime::ZERO, Duration::from_us(10.0));
@@ -180,12 +180,10 @@ impl ResourcePool {
     /// # Panics
     ///
     /// Panics if `count` is zero.
-    pub fn new(name: &str, count: usize) -> Self {
+    pub fn new(count: usize) -> Self {
         assert!(count > 0, "resource pool must have at least one unit");
         ResourcePool {
-            units: (0..count)
-                .map(|i| SharedResource::new(format!("{name}-{i}")))
-                .collect(),
+            units: vec![SharedResource::default(); count],
         }
     }
 
@@ -257,44 +255,10 @@ impl ResourcePool {
         self.units.iter().map(|u| u.completed()).sum()
     }
 
-    /// Appends every unit's timeline state to `out` behind a unit count.
-    ///
-    /// This dense layout is what v1/v2 checkpoints stored; current encoders
-    /// use [`ResourcePool::encode_sparse_into`], so production code only
-    /// ever decodes it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.units.len() as u64);
-        for unit in &self.units {
-            unit.encode_into(out);
-        }
-    }
-
-    /// Restores the pool serialized by [`ResourcePool::encode_into`],
-    /// keeping the unit names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] if the stored unit count
-    /// does not match this (configuration-derived) pool's size.
-    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let count = r.u64()? as usize;
-        if count != self.units.len() {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint has {count} units but the configuration describes {}",
-                self.units.len()
-            )));
-        }
-        for unit in &mut self.units {
-            unit.restore_from(r)?;
-        }
-        Ok(())
-    }
-
-    /// Sparse variant of [`ResourcePool::encode_into`]: only touched units
-    /// are stored (unit count, touched count, then `(index, timeline)` pairs
-    /// with strictly increasing indices), so an idle pool costs 16 bytes
-    /// regardless of its size.
+    /// Appends the pool to `out`, storing only touched units: unit count,
+    /// touched count, then `(index, timeline)` pairs with strictly
+    /// increasing indices, so an idle pool costs 16 bytes regardless of its
+    /// size.
     pub(crate) fn encode_sparse_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.units.len() as u64);
         let touched = self.units.iter().filter(|u| !u.is_untouched()).count();
@@ -302,48 +266,59 @@ impl ResourcePool {
         for (i, unit) in self.units.iter().enumerate() {
             if !unit.is_untouched() {
                 put_u64(out, i as u64);
-                unit.encode_into(out);
+                unit.encode_triple_into(out);
             }
         }
     }
 
-    /// Restores the pool serialized by [`ResourcePool::encode_sparse_into`].
+    /// Decodes a pool of `units` timelines stored in `layout`; the dense
+    /// layout stores every unit behind the unit count.
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] if the stored unit count
-    /// does not match the configuration, if more units are marked touched
-    /// than exist, or if the touched indices are not strictly increasing and
-    /// in range.
-    pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+    /// is not `units` (the configuration-derived pool size), or (sparse
+    /// layout) if more units are marked touched than exist or the touched
+    /// indices are not strictly increasing and in range.
+    pub(crate) fn decode_from(
+        r: &mut Reader<'_>,
+        layout: TimelineLayout,
+        units: usize,
+    ) -> Result<Self> {
         let count = r.u64()? as usize;
-        if count != self.units.len() {
+        if count != units {
             return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint has {count} units but the configuration describes {}",
-                self.units.len()
+                "pool checkpoint has {count} units but the configuration describes {units}"
             )));
         }
-        let touched = r.u64()? as usize;
-        if touched > count {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint marks {touched} of {count} units as touched"
-            )));
-        }
-        for unit in &mut self.units {
-            unit.reset();
-        }
-        let mut prev: Option<u64> = None;
-        for _ in 0..touched {
-            let idx = r.u64()?;
-            if prev.is_some_and(|p| idx <= p) || idx >= count as u64 {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "touched unit index {idx} is out of order or out of range"
-                )));
+        let mut pool = ResourcePool::new(units);
+        match layout {
+            TimelineLayout::Dense => {
+                for unit in &mut pool.units {
+                    *unit = SharedResource::decode_triple(r)?;
+                }
             }
-            prev = Some(idx);
-            self.units[idx as usize].restore_from(r)?;
+            TimelineLayout::Sparse => {
+                let touched = r.u64()? as usize;
+                if touched > count {
+                    return Err(ConduitError::corrupt_checkpoint(format!(
+                        "pool checkpoint marks {touched} of {count} units as touched"
+                    )));
+                }
+                let mut prev: Option<u64> = None;
+                for _ in 0..touched {
+                    let idx = r.u64()?;
+                    if prev.is_some_and(|p| idx <= p) || idx >= count as u64 {
+                        return Err(ConduitError::corrupt_checkpoint(format!(
+                            "touched unit index {idx} is out of order or out of range"
+                        )));
+                    }
+                    prev = Some(idx);
+                    pool.units[idx as usize] = SharedResource::decode_triple(r)?;
+                }
+            }
         }
-        Ok(())
+        Ok(pool)
     }
 
     fn earliest_unit(&self, at: SimTime) -> usize {
@@ -366,7 +341,7 @@ mod tests {
 
     #[test]
     fn shared_resource_serializes_work() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         let (s1, e1) = r.reserve(SimTime::ZERO, us(5.0));
         let (s2, e2) = r.reserve(SimTime::ZERO, us(5.0));
         assert_eq!(s1, SimTime::ZERO);
@@ -378,7 +353,7 @@ mod tests {
 
     #[test]
     fn queue_delay_reflects_backlog() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         assert_eq!(r.queue_delay(SimTime::ZERO), Duration::ZERO);
         r.reserve(SimTime::ZERO, us(8.0));
         assert_eq!(r.queue_delay(SimTime::ZERO), us(8.0));
@@ -388,7 +363,7 @@ mod tests {
 
     #[test]
     fn idle_gaps_do_not_count_as_busy() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         r.reserve(SimTime::ZERO, us(2.0));
         // Next request arrives much later; the gap is idle.
         r.reserve(SimTime::ZERO + us(100.0), us(2.0));
@@ -399,7 +374,7 @@ mod tests {
 
     #[test]
     fn pool_spreads_work_across_units() {
-        let mut p = ResourcePool::new("die", 4);
+        let mut p = ResourcePool::new(4);
         for _ in 0..4 {
             p.reserve(SimTime::ZERO, us(10.0));
         }
@@ -413,7 +388,7 @@ mod tests {
 
     #[test]
     fn pool_tie_breaks_on_lowest_unit_index() {
-        let mut p = ResourcePool::new("die", 3);
+        let mut p = ResourcePool::new(3);
         // All units idle: ties must resolve to the lowest index, in order,
         // so simulations are deterministic regardless of pool size.
         let (_, _, i0) = p.reserve(SimTime::ZERO, us(5.0));
@@ -428,7 +403,7 @@ mod tests {
 
     #[test]
     fn pool_prefers_earliest_free_unit_over_index() {
-        let mut p = ResourcePool::new("die", 3);
+        let mut p = ResourcePool::new(3);
         // Unit 0 busy for 10 us, unit 1 for 2 us, unit 2 for 6 us.
         p.reserve_unit(0, SimTime::ZERO, us(10.0));
         p.reserve_unit(1, SimTime::ZERO, us(2.0));
@@ -440,7 +415,7 @@ mod tests {
 
     #[test]
     fn pool_specific_unit_reservation() {
-        let mut p = ResourcePool::new("bank", 2);
+        let mut p = ResourcePool::new(2);
         p.reserve_unit(0, SimTime::ZERO, us(5.0));
         assert_eq!(p.queue_delay_on(0, SimTime::ZERO), us(5.0));
         assert_eq!(p.queue_delay_on(1, SimTime::ZERO), Duration::ZERO);
@@ -451,7 +426,7 @@ mod tests {
 
     #[test]
     fn pool_utilization_averages_units() {
-        let mut p = ResourcePool::new("core", 2);
+        let mut p = ResourcePool::new(2);
         p.reserve_unit(0, SimTime::ZERO, us(10.0));
         let util = p.utilization(SimTime::ZERO + us(10.0));
         assert!((util - 0.5).abs() < 1e-9);
@@ -461,67 +436,100 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn empty_pool_panics() {
-        let _ = ResourcePool::new("x", 0);
+        let _ = ResourcePool::new(0);
     }
 
     #[test]
     fn sparse_resource_encoding_roundtrips_and_stays_small() {
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let back = SharedResource::decode_from(&mut r, TimelineLayout::Sparse);
+            assert!(back.is_err() || r.finished());
+            back
+        };
         // Idle: one flag byte instead of 24 zeros.
-        let idle = SharedResource::new("ch");
+        let idle = SharedResource::new();
         let mut buf = Vec::new();
         idle.encode_sparse_into(&mut buf);
         assert_eq!(buf, vec![0]);
-        let mut back = SharedResource::new("ch");
-        back.reserve(SimTime::ZERO, us(3.0)); // stale state must be cleared
-        back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(back, idle);
+        assert_eq!(decode(&buf).unwrap(), idle);
 
         // Busy: flag byte plus the dense triple.
-        let mut busy = SharedResource::new("ch");
+        let mut busy = SharedResource::new();
         busy.reserve(SimTime::ZERO, us(7.0));
         let mut buf = Vec::new();
         busy.encode_sparse_into(&mut buf);
         assert_eq!(buf.len(), 1 + 24);
-        let mut back = SharedResource::new("ch");
-        back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(back, busy);
+        assert_eq!(decode(&buf).unwrap(), busy);
 
         // Garbage flag is rejected.
-        let mut r = Reader::new(&[7u8]);
-        assert!(SharedResource::new("ch")
-            .restore_sparse_from(&mut r)
-            .is_err());
+        assert!(decode(&[7u8]).is_err());
     }
 
     #[test]
     fn sparse_pool_encoding_skips_idle_units() {
-        let mut p = ResourcePool::new("die", 16);
+        let mut p = ResourcePool::new(16);
         p.reserve_unit(3, SimTime::ZERO, us(5.0));
         p.reserve_unit(11, SimTime::ZERO, us(2.0));
         let mut sparse = Vec::new();
         p.encode_sparse_into(&mut sparse);
         // 16 + 16 header, two touched units at 8 + 24 each.
         assert_eq!(sparse.len(), 16 + 2 * 32);
-        let mut dense = Vec::new();
-        p.encode_into(&mut dense);
-        assert!(sparse.len() < dense.len());
-
-        let mut back = ResourcePool::new("die", 16);
-        back.reserve_unit(0, SimTime::ZERO, us(9.0)); // must be reset on restore
-        back.restore_sparse_from(&mut Reader::new(&sparse)).unwrap();
+        let mut r = Reader::new(&sparse);
+        let back = ResourcePool::decode_from(&mut r, TimelineLayout::Sparse, 16).unwrap();
+        assert!(r.finished());
         assert_eq!(back, p);
 
         // A fully idle pool costs only the 16-byte header.
-        let idle = ResourcePool::new("die", 64);
+        let idle = ResourcePool::new(64);
         let mut buf = Vec::new();
         idle.encode_sparse_into(&mut buf);
         assert_eq!(buf.len(), 16);
     }
 
     #[test]
+    fn dense_timelines_decode_every_unit() {
+        // Dense layout: a bare triple per timeline, and a pool is its unit
+        // count followed by every unit's triple.
+        let triple = |out: &mut Vec<u8>, busy_until_ps: u64, busy_ps: u64, completed: u64| {
+            put_u64(out, busy_until_ps);
+            put_u64(out, busy_ps);
+            put_u64(out, completed);
+        };
+        let mut one = Vec::new();
+        triple(&mut one, 9_000_000, 7_000_000, 2);
+        let unit = SharedResource::decode_from(&mut Reader::new(&one), TimelineLayout::Dense);
+        assert_eq!(unit.unwrap().completed(), 2);
+
+        let mut pool = Vec::new();
+        put_u64(&mut pool, 3);
+        triple(&mut pool, 0, 0, 0);
+        triple(&mut pool, 5_000_000, 5_000_000, 1);
+        triple(&mut pool, 0, 0, 0);
+        let mut expected = ResourcePool::new(3);
+        expected.reserve_unit(1, SimTime::ZERO, us(5.0));
+        let mut r = Reader::new(&pool);
+        let back = ResourcePool::decode_from(&mut r, TimelineLayout::Dense, 3).unwrap();
+        assert!(r.finished());
+        assert_eq!(back, expected);
+        // A unit count that does not match the configuration is rejected,
+        // and so is a truncated unit.
+        assert!(
+            ResourcePool::decode_from(&mut Reader::new(&pool), TimelineLayout::Dense, 4).is_err()
+        );
+        assert!(ResourcePool::decode_from(
+            &mut Reader::new(&pool[..pool.len() - 1]),
+            TimelineLayout::Dense,
+            3
+        )
+        .is_err());
+    }
+
+    #[test]
     fn sparse_pool_restore_rejects_malformed_indices() {
-        let probe =
-            |bytes: &[u8]| ResourcePool::new("die", 4).restore_sparse_from(&mut Reader::new(bytes));
+        let probe = |bytes: &[u8]| {
+            ResourcePool::decode_from(&mut Reader::new(bytes), TimelineLayout::Sparse, 4)
+        };
         let mut wrong_count = Vec::new();
         put_u64(&mut wrong_count, 5);
         put_u64(&mut wrong_count, 0);

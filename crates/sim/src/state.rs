@@ -18,14 +18,15 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use conduit_ftl::Ftl;
+use conduit_flash::FlashLayout;
+use conduit_ftl::{Ftl, FtlLayout};
 use conduit_types::bytes::{put_u16, put_u64, Reader};
 use conduit_types::{
     ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SsdConfig,
 };
 
 use crate::energy::EnergyMeter;
-use crate::resources::{ResourcePool, SharedResource};
+use crate::resources::{ResourcePool, SharedResource, TimelineLayout};
 use crate::stats::LaneStats;
 
 /// Magic bytes identifying a serialized [`DeviceState`] checkpoint in the
@@ -39,9 +40,10 @@ pub const DEVICE_STATE_MAGIC: [u8; 4] = *b"CDS3";
 /// Current device-state checkpoint format version.
 pub const DEVICE_STATE_FORMAT_VERSION: u16 = 3;
 
-/// Magic bytes of the legacy version-2 format (delta flash image and lane
-/// statistics, but dense resource timelines and no fault state). Still
-/// readable by [`DeviceState::from_bytes`]; no longer written.
+/// Magic bytes of the legacy version-2 format (delta flash image and
+/// cumulative lane statistics, but dense resource timelines and no fault
+/// state). Still readable by [`DeviceState::from_bytes`]; no longer
+/// written.
 pub const DEVICE_STATE_MAGIC_V2: [u8; 4] = *b"CDS2";
 
 /// Format version of the legacy [`DEVICE_STATE_MAGIC_V2`] encoding.
@@ -54,6 +56,53 @@ pub const DEVICE_STATE_MAGIC_V1: [u8; 4] = *b"CDS1";
 
 /// Format version of the legacy [`DEVICE_STATE_MAGIC_V1`] encoding.
 pub const DEVICE_STATE_FORMAT_VERSION_V1: u16 = 1;
+
+/// What one device-state checkpoint version stores.
+struct Layout {
+    magic: [u8; 4],
+    version: u16,
+    ftl: FtlLayout,
+    timelines: TimelineLayout,
+    /// How many [`LaneStats`] follow the energy meter: the cumulative
+    /// statistics, then the window.
+    lane_stats: usize,
+}
+
+/// Every readable checkpoint version, current first. This table is the
+/// only place that knows which version stores what;
+/// [`DeviceState::to_bytes`] writes the first entry.
+const LAYOUTS: [Layout; 3] = [
+    Layout {
+        magic: DEVICE_STATE_MAGIC,
+        version: DEVICE_STATE_FORMAT_VERSION,
+        ftl: FtlLayout {
+            flash: FlashLayout::Sparse,
+            fault_tail: true,
+        },
+        timelines: TimelineLayout::Sparse,
+        lane_stats: 2,
+    },
+    Layout {
+        magic: DEVICE_STATE_MAGIC_V2,
+        version: DEVICE_STATE_FORMAT_VERSION_V2,
+        ftl: FtlLayout {
+            flash: FlashLayout::Sparse,
+            fault_tail: false,
+        },
+        timelines: TimelineLayout::Dense,
+        lane_stats: 1,
+    },
+    Layout {
+        magic: DEVICE_STATE_MAGIC_V1,
+        version: DEVICE_STATE_FORMAT_VERSION_V1,
+        ftl: FtlLayout {
+            flash: FlashLayout::Dense,
+            fault_tail: false,
+        },
+        timelines: TimelineLayout::Dense,
+        lane_stats: 0,
+    },
+];
 
 /// Number of pages the host keeps resident before it must re-stream data
 /// from the SSD (see the field documentation on [`DeviceState`]).
@@ -137,15 +186,13 @@ impl DeviceState {
         let ctrl_capacity_pages = (cfg.ctrl.sram_bytes / cfg.flash.page_bytes).max(4) as usize;
         Ok(DeviceState {
             ftl,
-            channels: (0..cfg.flash.channels)
-                .map(|i| SharedResource::new(format!("flash-channel-{i}")))
-                .collect(),
-            dies: ResourcePool::new("die", total_dies),
-            dram_banks: ResourcePool::new("dram-subarray", cfg.dram.compute_units() as usize),
-            dram_bus: SharedResource::new("dram-bus"),
-            compute_cores: ResourcePool::new("isp-core", compute_core_count),
-            offloader_core: SharedResource::new("offloader-core"),
-            pcie: SharedResource::new("pcie"),
+            channels: vec![SharedResource::new(); cfg.flash.channels as usize],
+            dies: ResourcePool::new(total_dies),
+            dram_banks: ResourcePool::new(cfg.dram.compute_units() as usize),
+            dram_bus: SharedResource::new(),
+            compute_cores: ResourcePool::new(compute_core_count),
+            offloader_core: SharedResource::new(),
+            pcie: SharedResource::new(),
             dram_resident: HashSet::new(),
             dram_order: VecDeque::new(),
             dram_capacity_pages,
@@ -264,13 +311,15 @@ impl DeviceState {
     /// cached-copy residency, the energy meter and the lane statistics —
     /// into a compact, versioned, **deterministic** byte stream (identical
     /// states always produce identical bytes, so checkpoints can be diffed
-    /// and pinned by golden files). The flash image is encoded
-    /// **delta-against-pristine**: blocks that have never been written or
-    /// erased are skipped entirely, so a cold device's checkpoint stays
-    /// small no matter how large the array is. Restore with
+    /// and pinned by golden files). This is the only checkpoint writer, and
+    /// it always writes the current `"CDS3"` layout. The flash image is
+    /// encoded **delta-against-pristine**: blocks that have never been
+    /// written or erased are skipped entirely, so a cold device's
+    /// checkpoint stays small no matter how large the array is; idle
+    /// resource timelines likewise cost a flag byte. Restore with
     /// [`DeviceState::from_bytes`] under the same [`SsdConfig`]; everything
-    /// derived from the configuration (geometry, capacities, resource
-    /// names, estimate tables) is rebuilt rather than stored.
+    /// derived from the configuration (geometry, capacities, pool sizes,
+    /// estimate tables) is rebuilt rather than stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&DEVICE_STATE_MAGIC);
@@ -280,12 +329,12 @@ impl DeviceState {
         for channel in &self.channels {
             channel.encode_sparse_into(&mut out);
         }
-        self.dies.encode_sparse_into(&mut out);
-        self.dram_banks.encode_sparse_into(&mut out);
-        self.compute_cores.encode_sparse_into(&mut out);
-        self.dram_bus.encode_sparse_into(&mut out);
-        self.offloader_core.encode_sparse_into(&mut out);
-        self.pcie.encode_sparse_into(&mut out);
+        for pool in [&self.dies, &self.dram_banks, &self.compute_cores] {
+            pool.encode_sparse_into(&mut out);
+        }
+        for unit in [&self.dram_bus, &self.offloader_core, &self.pcie] {
+            unit.encode_sparse_into(&mut out);
+        }
         // Residency is a set plus an eviction queue, serialized separately:
         // the queue may legitimately hold stale entries (eviction removes
         // from the set first) and is therefore not a reliable source for
@@ -323,10 +372,12 @@ impl DeviceState {
     /// produces bit-identical results.
     ///
     /// The current `"CDS3"` encoding (sparse resource timelines, fault
-    /// state, windowed lane statistics) and both legacy encodings are
-    /// accepted: `"CDS2"` (delta flash, dense resources, no fault state) and
-    /// `"CDS1"` (dense flash, no lane statistics). Legacy checkpoints
-    /// restore with an inert fault plan, a healthy device and a zero window.
+    /// state, windowed lane statistics) and both legacy, read-only
+    /// encodings are accepted: `"CDS2"` (delta flash, dense resources, no
+    /// fault state, no lane window) and `"CDS1"` (dense flash, dense
+    /// resources, no lane statistics). Legacy checkpoints restore with an
+    /// inert fault plan, a healthy device and zero lane counters for what
+    /// they do not store.
     ///
     /// # Errors
     ///
@@ -334,41 +385,28 @@ impl DeviceState {
     /// version, truncated or trailing bytes, or a checkpoint whose shape
     /// does not match `cfg` (block counts, pool sizes, channel counts).
     pub fn from_bytes(cfg: &SsdConfig, bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 6 {
+        let Some((magic, version)) = bytes
+            .get(..6)
+            .map(|head| (&head[..4], u16::from_le_bytes([head[4], head[5]])))
+        else {
             return Err(ConduitError::corrupt_checkpoint("bad device-state magic"));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        let known_magic = [
-            DEVICE_STATE_MAGIC,
-            DEVICE_STATE_MAGIC_V2,
-            DEVICE_STATE_MAGIC_V1,
-        ]
-        .iter()
-        .any(|m| bytes[..4] == *m);
-        match (&bytes[..4], version) {
-            (magic, DEVICE_STATE_FORMAT_VERSION) if *magic == DEVICE_STATE_MAGIC => {}
-            (magic, DEVICE_STATE_FORMAT_VERSION_V2) if *magic == DEVICE_STATE_MAGIC_V2 => {}
-            (magic, DEVICE_STATE_FORMAT_VERSION_V1) if *magic == DEVICE_STATE_MAGIC_V1 => {}
-            (_, version) if known_magic => {
+        };
+        let Some(layout) = LAYOUTS
+            .iter()
+            .find(|l| l.magic == magic && l.version == version)
+        else {
+            if LAYOUTS.iter().any(|l| l.magic == magic) {
+                let versions: Vec<String> = LAYOUTS.iter().map(|l| l.version.to_string()).collect();
                 return Err(ConduitError::corrupt_checkpoint(format!(
-                    "unsupported device-state format version {version} \
-                     (expected {DEVICE_STATE_FORMAT_VERSION}, \
-                     {DEVICE_STATE_FORMAT_VERSION_V2} or \
-                     {DEVICE_STATE_FORMAT_VERSION_V1})"
+                    "unsupported device-state format version {version} (expected one of {})",
+                    versions.join(", ")
                 )));
             }
-            _ => {
-                return Err(ConduitError::corrupt_checkpoint("bad device-state magic"));
-            }
-        }
+            return Err(ConduitError::corrupt_checkpoint("bad device-state magic"));
+        };
         let mut r = Reader::new(&bytes[6..]);
         let mut state = DeviceState::new(cfg)?;
-        state.ftl = match version {
-            DEVICE_STATE_FORMAT_VERSION => Ftl::decode_delta_from(cfg, &mut r)?,
-            DEVICE_STATE_FORMAT_VERSION_V2 => Ftl::decode_delta_legacy_from(cfg, &mut r)?,
-            _ => Ftl::decode_legacy_from(cfg, &mut r)?,
-        };
-        let sparse = version >= DEVICE_STATE_FORMAT_VERSION;
+        state.ftl = Ftl::decode_from(cfg, &mut r, layout.ftl)?;
         let channels = r.u64()? as usize;
         if channels != state.channels.len() {
             return Err(ConduitError::corrupt_checkpoint(format!(
@@ -377,26 +415,21 @@ impl DeviceState {
             )));
         }
         for channel in &mut state.channels {
-            if sparse {
-                channel.restore_sparse_from(&mut r)?;
-            } else {
-                channel.restore_from(&mut r)?;
-            }
+            *channel = SharedResource::decode_from(&mut r, layout.timelines)?;
         }
-        if sparse {
-            state.dies.restore_sparse_from(&mut r)?;
-            state.dram_banks.restore_sparse_from(&mut r)?;
-            state.compute_cores.restore_sparse_from(&mut r)?;
-            state.dram_bus.restore_sparse_from(&mut r)?;
-            state.offloader_core.restore_sparse_from(&mut r)?;
-            state.pcie.restore_sparse_from(&mut r)?;
-        } else {
-            state.dies.restore_from(&mut r)?;
-            state.dram_banks.restore_from(&mut r)?;
-            state.compute_cores.restore_from(&mut r)?;
-            state.dram_bus.restore_from(&mut r)?;
-            state.offloader_core.restore_from(&mut r)?;
-            state.pcie.restore_from(&mut r)?;
+        for pool in [
+            &mut state.dies,
+            &mut state.dram_banks,
+            &mut state.compute_cores,
+        ] {
+            *pool = ResourcePool::decode_from(&mut r, layout.timelines, pool.len())?;
+        }
+        for unit in [
+            &mut state.dram_bus,
+            &mut state.offloader_core,
+            &mut state.pcie,
+        ] {
+            *unit = SharedResource::decode_from(&mut r, layout.timelines)?;
         }
         for (resident, order) in [
             (&mut state.dram_resident, &mut state.dram_order),
@@ -418,16 +451,11 @@ impl DeviceState {
             }
         }
         state.energy = EnergyMeter::decode_from(&mut r)?;
-        if version >= DEVICE_STATE_FORMAT_VERSION_V2 {
-            state.lane = LaneStats {
-                requests: r.counter()?,
-                busy: Duration::from_ps(r.counter()?),
-                idle: Duration::from_ps(r.counter()?),
-                queued: Duration::from_ps(r.counter()?),
-            };
-        }
-        if version >= DEVICE_STATE_FORMAT_VERSION {
-            state.lane_window = LaneStats {
+        for lane in [&mut state.lane, &mut state.lane_window]
+            .into_iter()
+            .take(layout.lane_stats)
+        {
+            *lane = LaneStats {
                 requests: r.counter()?,
                 busy: Duration::from_ps(r.counter()?),
                 idle: Duration::from_ps(r.counter()?),
@@ -745,6 +773,13 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[0] = b'X';
         assert!(DeviceState::from_bytes(&cfg, &flipped).is_err());
+        // A known magic under another version's number is not a layout.
+        for version in [DEVICE_STATE_FORMAT_VERSION_V2, 9] {
+            let mut mislabeled = bytes.clone();
+            mislabeled[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = DeviceState::from_bytes(&cfg, &mislabeled).unwrap_err();
+            assert!(err.to_string().contains("unsupported"), "{err}");
+        }
         let mut trailing = bytes;
         trailing.push(0);
         assert!(DeviceState::from_bytes(&cfg, &trailing).is_err());

@@ -28,6 +28,18 @@ fn put_energy(out: &mut Vec<u8>, e: Energy) {
 /// blocks up front, so this bounds that table at 64 MiB.
 pub const MAX_FLASH_BLOCKS: u64 = 1 << 28;
 
+/// The largest controller core count [`SsdConfig::validate`] accepts: 2^16,
+/// against the paper's 5. The core allocation keeps one role per core and
+/// the compute cores form one contention timeline each, so this bounds both
+/// at 64 Ki entries.
+pub const MAX_CTRL_CORES: u32 = 1 << 16;
+
+/// The largest DRAM sub-array unit count (`channels × ranks × banks ×
+/// subarrays_per_bank`) [`SsdConfig::validate`] accepts: 2^16, 512× the
+/// paper's 128. Every device keeps one contention timeline per unit, so this
+/// bounds that pool at 64 Ki timelines.
+pub const MAX_DRAM_COMPUTE_UNITS: u32 = 1 << 16;
+
 /// NAND flash subsystem configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
@@ -721,9 +733,10 @@ impl SsdConfig {
     /// simulate: every geometry, bank and page count and the compute-core
     /// count are non-zero, the flash block count, page count and capacity
     /// fit in a `u64`, every flash index fits a physical page address, the
-    /// block count is at most [`MAX_FLASH_BLOCKS`], the DRAM sub-array unit
-    /// count fits in a `u32`, and the controller clock and every bandwidth
-    /// are finite and positive.
+    /// block count is at most [`MAX_FLASH_BLOCKS`], the controller core count
+    /// is at most [`MAX_CTRL_CORES`], the DRAM sub-array unit count fits in a
+    /// `u32` and is at most [`MAX_DRAM_COMPUTE_UNITS`], and the controller
+    /// clock and every bandwidth are finite and positive.
     ///
     /// # Errors
     ///
@@ -800,15 +813,27 @@ impl SsdConfig {
                 "flash geometry has {blocks} blocks, more than the {MAX_FLASH_BLOCKS} supported"
             )));
         }
+        if self.ctrl.cores > MAX_CTRL_CORES {
+            return Err(ConduitError::invalid_config(format!(
+                "ctrl.cores must be at most {MAX_CTRL_CORES}, got {}",
+                self.ctrl.cores
+            )));
+        }
         let d = &self.dram;
         let units = [d.ranks, d.banks, d.subarrays_per_bank.max(1)]
             .into_iter()
-            .try_fold(d.channels, u32::checked_mul);
-        if units.is_none() {
-            return Err(ConduitError::invalid_config(
-                "dram sub-array unit count (channels × ranks × banks × subarrays_per_bank) \
-                 overflows u32",
-            ));
+            .try_fold(d.channels, u32::checked_mul)
+            .ok_or_else(|| {
+                ConduitError::invalid_config(
+                    "dram sub-array unit count (channels × ranks × banks × subarrays_per_bank) \
+                     overflows u32",
+                )
+            })?;
+        if units > MAX_DRAM_COMPUTE_UNITS {
+            return Err(ConduitError::invalid_config(format!(
+                "dram sub-array unit count is {units}, more than the \
+                 {MAX_DRAM_COMPUTE_UNITS} supported"
+            )));
         }
         let rates = [
             ("ctrl.freq_hz", self.ctrl.freq_hz),
@@ -999,6 +1024,34 @@ mod tests {
             f.page_bytes = u64::MAX >> 44;
         });
         assert!(fits.is_ok(), "{fits:?}");
+    }
+
+    #[test]
+    fn validate_bounds_the_core_and_dram_unit_counts() {
+        let validate = |change: &dyn Fn(&mut SsdConfig)| {
+            let mut cfg = SsdConfig::small_for_tests();
+            change(&mut cfg);
+            cfg.validate()
+        };
+        // 128 units per DRAM channel by default.
+        let channels_at_limit = MAX_DRAM_COMPUTE_UNITS / 128;
+        assert!(validate(&|c| c.ctrl.cores = MAX_CTRL_CORES).is_ok());
+        assert!(validate(&|c| c.dram.channels = channels_at_limit).is_ok());
+        for (field, result) in [
+            (
+                "ctrl.cores",
+                validate(&|c| c.ctrl.cores = MAX_CTRL_CORES + 1),
+            ),
+            (
+                "dram sub-array unit count",
+                validate(&|c| c.dram.channels = channels_at_limit + 1),
+            ),
+        ] {
+            assert!(
+                matches!(&result, Err(ConduitError::InvalidConfig { reason }) if reason.contains(field)),
+                "{field}: {result:?}"
+            );
+        }
     }
 
     #[test]

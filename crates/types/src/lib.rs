@@ -37,7 +37,7 @@ pub mod time;
 pub use addr::{LogicalPageId, PhysicalPageAddr, PAGE_BYTES};
 pub use config::{
     CtrlConfig, DramConfig, FlashConfig, HostConfig, HostCpuConfig, HostGpuConfig, HostLinkConfig,
-    OffloaderOverheadConfig, SsdConfig, MAX_FLASH_BLOCKS,
+    OffloaderOverheadConfig, SsdConfig, MAX_CTRL_CORES, MAX_DRAM_COMPUTE_UNITS, MAX_FLASH_BLOCKS,
 };
 pub use energy::{Energy, EnergySource};
 pub use error::{ConduitError, Result};

@@ -342,25 +342,27 @@ fn corrupted_fault_state_checkpoints_are_rejected_not_panicked() {
     );
 
     // Flip one 8-byte word at a time across the whole checkpoint — headers,
-    // flash delta, fault tail, everything. Every mutation must come back as
-    // a clean `Result`; the overwhelming majority as a rejection.
-    let mut rejected = 0usize;
-    let mut trials = 0usize;
-    for offset in (0..bytes.len()).step_by(8) {
-        let mut corrupt = bytes.clone();
-        for b in corrupt[offset..bytes.len().min(offset + 8)].iter_mut() {
-            *b ^= 0xA5;
-        }
-        let mut probe = pool_session(|b| b.serial());
-        trials += 1;
-        if probe.import_device("fuzzed", &corrupt).is_err() {
-            rejected += 1;
-        }
+    // flash delta, fault tail, everything — and likewise across the frozen
+    // legacy checkpoints, whose read-only decoders share the same readers.
+    // Every mutation must come back as a clean `Result`; the overwhelming
+    // majority as a rejection.
+    for (name, checkpoint) in [
+        ("current", bytes.as_slice()),
+        (
+            "v1",
+            include_bytes!("golden/device_checkpoint_v1.bin").as_slice(),
+        ),
+        (
+            "v2",
+            include_bytes!("golden/device_checkpoint_v2.bin").as_slice(),
+        ),
+    ] {
+        let (rejected, trials) = fuzz_checkpoint_words(checkpoint);
+        assert!(
+            rejected * 2 > trials,
+            "{name}: only {rejected}/{trials} corrupted checkpoints were rejected"
+        );
     }
-    assert!(
-        rejected * 2 > trials,
-        "only {rejected}/{trials} corrupted checkpoints were rejected"
-    );
 
     // Truncation anywhere inside the fault tail (the last stretch of the
     // FTL block) is likewise a clean rejection.
@@ -377,11 +379,37 @@ fn corrupted_fault_state_checkpoints_are_rejected_not_panicked() {
     assert_eq!(probe.device_snapshot(ok), snap);
 }
 
+/// Flips one 8-byte word at a time across `checkpoint` and imports each
+/// mutation into a fresh session: every import must return a `Result`, and
+/// a device that imports must serve one writer request without panicking
+/// (its result may be an error). Returns `(rejected, trials)`.
+fn fuzz_checkpoint_words(checkpoint: &[u8]) -> (usize, usize) {
+    let mut rejected = 0usize;
+    let mut trials = 0usize;
+    for offset in (0..checkpoint.len()).step_by(8) {
+        let mut corrupt = checkpoint.to_vec();
+        for b in corrupt[offset..checkpoint.len().min(offset + 8)].iter_mut() {
+            *b ^= 0xA5;
+        }
+        let mut probe = pool_session(|b| b.serial());
+        let writer = probe.register(writer_program()).unwrap();
+        trials += 1;
+        match probe.import_device("fuzzed", &corrupt) {
+            Ok(device) => {
+                let _ = probe.submit(&RunRequest::new(writer, Policy::Conduit).on_device(device));
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    (rejected, trials)
+}
+
 /// Configurations whose models cannot simulate anything: a zero geometry,
 /// bank, page or compute-core count, a flash geometry whose totals overflow
 /// `u64`, a flash index too wide for a physical page address, too many
-/// flash blocks, a DRAM sub-array unit count that overflows `u32`, or a
-/// zero, negative, NaN or infinite clock or bandwidth.
+/// flash blocks or controller cores, a DRAM sub-array unit count that
+/// overflows `u32` or fits it but is too large, or a zero, negative, NaN or
+/// infinite clock or bandwidth.
 fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
     let edit = |field: &'static str, change: &dyn Fn(&mut SsdConfig)| {
         let mut cfg = SsdConfig::small_for_tests();
@@ -422,6 +450,9 @@ fn invalid_configs() -> Vec<(&'static str, SsdConfig)> {
             c.dram.ranks = 65_536;
             c.dram.banks = 1;
         }),
+        edit("ctrl.cores", &|c| c.ctrl.cores = u32::MAX),
+        // 2^24 channels × 8 banks × 16 sub-arrays = 2^31 units: fits a u32.
+        edit("dram sub-array unit count", &|c| c.dram.channels = 1 << 24),
     ];
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         configs.extend([
@@ -510,7 +541,7 @@ type Field<T> = (&'static str, fn(&mut SsdConfig) -> &mut T);
 
 #[test]
 fn every_validated_field_at_its_extremes_gives_a_typed_error_or_finite_results() {
-    let counts: [Field<u32>; 11] = [
+    let counts: [Field<u32>; 12] = [
         ("flash.channels", |c| &mut c.flash.channels),
         ("flash.dies_per_channel", |c| &mut c.flash.dies_per_channel),
         ("flash.planes_per_die", |c| &mut c.flash.planes_per_die),
@@ -524,6 +555,7 @@ fn every_validated_field_at_its_extremes_gives_a_typed_error_or_finite_results()
         }),
         ("ctrl.mve_bytes", |c| &mut c.ctrl.mve_bytes),
         ("ctrl.compute_cores", |c| &mut c.ctrl.compute_cores),
+        ("ctrl.cores", |c| &mut c.ctrl.cores),
     ];
     let sizes: [Field<u64>; 2] = [
         ("flash.page_bytes", |c| &mut c.flash.page_bytes),
@@ -560,6 +592,10 @@ fn every_validated_field_at_its_extremes_gives_a_typed_error_or_finite_results()
             case(format!("{field} = {value}"), &|c| *get(c) = value);
         }
     }
+    // A DRAM unit count that fits a u32 (2^31) but not the unit bound.
+    case("dram.channels = 2^24".to_string(), &|c| {
+        c.dram.channels = 1 << 24
+    });
 
     let failures: Vec<String> = cases
         .iter()
